@@ -1,4 +1,4 @@
-"""SQLite-backend benchmark: parity, out-of-core memory, sharded import.
+"""SQLite-backend benchmark: parity, out-of-core memory, import throughput.
 
 Gates the promotion of SQLite to a first-class query backend
 (:mod:`repro.db.sqlstore`):
@@ -13,10 +13,11 @@ Gates the promotion of SQLite to a first-class query backend
   ``--scale-factor``× the base scale must stay *below* the in-memory
   path's peak at the base scale: resident memory must not grow
   linearly with trace length.
-* **throughput** — sharded parallel store building
-  (:func:`~repro.db.sqlstore.build_store_from_trace`) at the large
-  scale must reach at least ``--min-throughput-ratio`` of the
-  in-memory importer's events/s on the same trace file.
+* **throughput** — the store build
+  (:func:`~repro.db.sqlstore.build_store_from_trace`, one serial
+  streaming pass) at the large scale must reach at least
+  ``--min-throughput-ratio`` of the in-memory importer's events/s on
+  the same trace file.
 
 Results land in ``BENCH_db.json``::
 
@@ -38,7 +39,7 @@ import repro.kernel  # noqa: F401  (must initialize before repro.tracing)
 from repro.atomicio import atomic_write_json
 
 #: Bump on any change to the JSON layout.
-SCHEMA = "lockdoc-bench-db/1"
+SCHEMA = "lockdoc-bench-db/2"
 
 
 def _write_trace(path: str, seed: float, scale: float, workload: str,
@@ -90,7 +91,7 @@ def _memory_pipeline(trace_path: str, recipe: str):
 
 
 def _sqlite_pipeline(trace_path: str, store_path: str, recipe: str):
-    """SQLite backend: sharded build -> fold -> derive."""
+    """SQLite backend: store build -> fold -> derive."""
     from repro.analysis import detect_races
     from repro.core.derivator import Derivator
     from repro.core.violations import ViolationFinder
@@ -208,9 +209,9 @@ def bench_memory(tmp: str, base_trace: str, big_trace: str) -> dict:
 
 
 def bench_throughput(tmp: str, big_trace: str, big_events: int) -> dict:
-    """Sharded store build vs the in-memory importer, events/s."""
+    """Store build vs the in-memory importer, events/s."""
     from repro.db.importer import Importer
-    from repro.db.sqlstore import build_store_from_trace, default_shard_count
+    from repro.db.sqlstore import build_store_from_trace
     from repro.tracing.serialize import open_binary_stream
     from repro.workloads.registry import database_inputs
 
@@ -222,21 +223,18 @@ def bench_throughput(tmp: str, big_trace: str, big_events: int) -> dict:
         Importer(structs, filters).run(stream.events, stream.stacks)
     memory_s = time.perf_counter() - t0
 
-    shard_count = default_shard_count()
     store_path = os.path.join(tmp, "throughput.store.sqlite")
     gc.collect()
     t0 = time.perf_counter()
-    build_store_from_trace(store_path, big_trace, "vfs",
-                           shard_count=shard_count)
-    sharded_s = time.perf_counter() - t0
+    build_store_from_trace(store_path, big_trace, "vfs")
+    build_s = time.perf_counter() - t0
     return {
         "events": big_events,
-        "shard_count": shard_count,
         "memory_s": round(memory_s, 4),
-        "sharded_s": round(sharded_s, 4),
+        "build_s": round(build_s, 4),
         "memory_events_per_s": round(big_events / memory_s, 1),
-        "sharded_events_per_s": round(big_events / sharded_s, 1),
-        "throughput_ratio": round(memory_s / sharded_s, 4),
+        "build_events_per_s": round(big_events / build_s, 1),
+        "throughput_ratio": round(memory_s / build_s, 4),
     }
 
 
@@ -252,9 +250,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--min-throughput-ratio", type=float, default=1.0,
-        help="fail unless sharded import events/s reaches this fraction "
-        "of the in-memory importer (relax on small CI runs where "
-        "process spawn dominates)",
+        help="fail unless the store build's events/s reaches this "
+        "fraction of the in-memory importer's (relax on small CI runs, "
+        "where fixed per-run costs dominate)",
     )
     parser.add_argument("--out", default="BENCH_db.json")
     args = parser.parse_args(argv)
@@ -286,8 +284,8 @@ def main(argv=None) -> int:
 
         throughput = bench_throughput(tmp, big_trace, big_events)
         print(
-            f"throughput: sharded({throughput['shard_count']}) "
-            f"{throughput['sharded_events_per_s']:.0f} ev/s vs memory "
+            f"throughput: store build "
+            f"{throughput['build_events_per_s']:.0f} ev/s vs memory "
             f"{throughput['memory_events_per_s']:.0f} ev/s "
             f"(ratio {throughput['throughput_ratio']:.2f})"
         )
@@ -307,7 +305,7 @@ def main(argv=None) -> int:
         )
     if throughput["throughput_ratio"] < args.min_throughput_ratio:
         failures.append(
-            f"sharded import reached only "
+            f"store build reached only "
             f"{throughput['throughput_ratio']:.2f}x of the in-memory "
             f"importer (floor {args.min_throughput_ratio}x)"
         )

@@ -40,7 +40,7 @@ from repro.workloads.mix import BenchmarkMix
 from benchmarks.perf.baseline import derive_serial_baseline
 
 #: Bump on any change to the JSON layout.
-SCHEMA = "lockdoc-bench-derive/1"
+SCHEMA = "lockdoc-bench-derive/2"
 
 
 def _run_mix(seed: int, scale: float) -> Tuple[TraceDatabase, int]:
@@ -129,7 +129,7 @@ def bench_workload(
         "speedup_vs_serial": round(baseline_s / best_engine_s, 2)
         if best_engine_s
         else None,
-        "speedup_parallel_vs_serial": round(baseline_s / parallel_s, 2)
+        "speedup_parallel_vs_baseline": round(baseline_s / parallel_s, 2)
         if parallel_s
         else None,
         "serial_matches_baseline": serial_matches,

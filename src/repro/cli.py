@@ -40,7 +40,7 @@ when the daemon is unreachable the client prints a one-line
 
 The same subcommands take ``--backend memory|sqlite``: ``memory``
 (default) analyzes the in-RAM :class:`TraceDatabase`; ``sqlite``
-builds an out-of-core sharded SQLite trace store
+builds an out-of-core SQLite trace store
 (:mod:`repro.db.sqlstore`) and streams derivation/checking/violation
 queries from disk — byte-identical output with bounded resident
 memory.  ``--backend`` composes with ``--remote``.
@@ -111,7 +111,7 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         "--backend", choices=experiments_common.BACKENDS,
         default=experiments_common.DEFAULT_BACKEND,
         help="trace query backend: `memory` holds the whole TraceDatabase "
-        "in RAM; `sqlite` builds an out-of-core sharded store and streams "
+        "in RAM; `sqlite` builds an out-of-core store and streams "
         "queries from disk (identical output, bounded memory)",
     )
 

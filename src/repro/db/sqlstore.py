@@ -2,7 +2,7 @@
 
 This is the promotion of :mod:`repro.db.sqlbackend` from an export-only
 side path to a first-class backend (the paper's own substrate is a
-MariaDB instance holding the Fig. 6 schema).  Three pieces:
+MariaDB instance holding the Fig. 6 schema).  Two pieces:
 
 **Spooling import** — :class:`SpoolDatabase` subclasses
 :class:`TraceDatabase` but spools access rows straight into SQLite in
@@ -11,19 +11,10 @@ repairs (synthetic-txn quarantine, stale-span fencing, stale-lock
 scrubbing) become SQL ``UPDATE``s with identical semantics, so the
 lenient-import behaviour is preserved bit-for-bit while resident
 memory stays bounded by the small relations (allocations, locks,
-transactions) plus one spool batch.
-
-**Sharded build** — :func:`build_store_from_trace` partitions the
-access table by ``txn_id % shard_count`` across worker processes.
-Every worker replays the *full* event stream (the importer is a
-cross-context state machine: transactions, healing and fences depend
-on global order, so slicing the stream would change the analysis) but
-spools only its partition, which is where all the memory and most of
-the write volume lives.  Shards are merged with ``ATTACH`` + ordered
-inserts; shard-local lockseq ids are remapped through a temp table.
-Partition-local health counters (synthetic/fenced/scrubbed access
-rows) sum exactly to the serial import's; every global counter is
-identical in each worker by construction.
+transactions) plus one spool batch.  Like the paper's post-processing
+step (Sec. 5.3), the import is one sequential in-process pass:
+:func:`build_store` over an event iterable, or
+:func:`build_store_from_trace` streaming a binary trace file.
 
 **Query backend** — :func:`open_store` validates completeness (a torn
 or truncated file raises :class:`StoreCorrupt`, it never yields
@@ -46,8 +37,7 @@ import os
 import sqlite3
 import sys
 from array import array
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.lockrefs import LockSeq
@@ -78,9 +68,6 @@ from repro.kernel.structs import StructRegistry
 
 StackFrames = Tuple[Tuple[str, str, int], ...]
 
-#: Environment override for the default shard count.
-SHARDS_ENV = "LOCKDOC_DB_SHARDS"
-
 #: TraceHealth fields serialized into the store's ``meta`` table.
 _HEALTH_FIELDS = (
     "total_events", "kept_events", "quarantined", "synthesized_releases",
@@ -105,19 +92,13 @@ class StoreCorrupt(ValueError):
 
 
 def default_shard_count() -> int:
-    """Shard workers for a parallel build (env-overridable).
+    """Always 1: the store build is one serial in-process pass.
 
-    More shards than cores buys nothing (every worker replays the full
-    stream); beyond ~4 the per-shard replay cost dominates the write
-    savings on typical traces.
+    Kept only because ``benchmarks/e2e/paths.py`` imports it and
+    records it as the ``sqlstore.shards`` detail; nothing in the
+    library reads it.
     """
-    override = os.environ.get(SHARDS_ENV)
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
+    return 1
 
 
 def health_to_json(health: TraceHealth) -> str:
@@ -142,10 +123,7 @@ class SpoolDatabase(TraceDatabase):
     The small relations (allocations, locks, transactions, stacks) stay
     in memory exactly as before — the importer reads them constantly.
     Access rows are spooled to *connection* in batches and never
-    retained, so peak memory no longer grows with trace length.  With
-    ``shard_count > 1`` only rows of the ``txn_id % shard_count ==
-    shard_index`` partition are written (the importer's state machine
-    still sees every event).
+    retained, so peak memory no longer grows with trace length.
 
     The retroactive-repair API (:meth:`quarantine_txn_accesses`,
     :meth:`quarantine_span_accesses`, :meth:`scrub_stale_lock`) is
@@ -158,14 +136,10 @@ class SpoolDatabase(TraceDatabase):
         self,
         structs: StructRegistry,
         connection: sqlite3.Connection,
-        shard_index: int = 0,
-        shard_count: int = 1,
         batch_rows: int = 4096,
     ) -> None:
         super().__init__(structs)
         self._conn = connection
-        self._shard_index = shard_index
-        self._shard_count = shard_count
         self._batch_rows = batch_rows
         self._pending: List[tuple] = []
         self._seq_ids: Dict[LockSeq, int] = {}
@@ -181,8 +155,6 @@ class SpoolDatabase(TraceDatabase):
         return seq_id
 
     def add_access(self, row: AccessRow) -> None:
-        if self._shard_count > 1 and row.txn_id % self._shard_count != self._shard_index:
-            return
         self._pending.append(
             (row.access_id, row.ts, row.ctx_id, row.txn_id, row.alloc_id,
              row.data_type, row.subclass, row.member, row.access_type,
@@ -266,26 +238,22 @@ def build_store(
     structs: StructRegistry,
     filters: Optional[FilterConfig] = None,
     policy: Optional[ImportPolicy] = None,
-    shard_index: int = 0,
-    shard_count: int = 1,
     parse_report=None,
     meta_extra: Optional[Dict[str, str]] = None,
 ) -> TraceHealth:
     """Import *events* into a store file at *path* (atomic publish).
 
-    One shard of a sharded build when ``shard_count > 1``; the complete
-    store otherwise.  Returns the import's :class:`TraceHealth` (with
-    partition-local access counters when sharded).  Like the in-memory
+    Returns the import's :class:`TraceHealth`.  Like the in-memory
     importer, raises :class:`~repro.db.importer.ErrorBudgetExceeded`
     when the malformed fraction exceeds the policy budget — leaving no
     file behind.
     """
-    tmp = f"{path}.{os.getpid()}.{shard_index}.build.tmp"
+    tmp = f"{path}.{os.getpid()}.build.tmp"
     connection: Optional[sqlite3.Connection] = sqlite3.connect(tmp)
     try:
         apply_bulk_pragmas(connection)
         connection.executescript(TABLES_SQL)
-        db = SpoolDatabase(structs, connection, shard_index, shard_count)
+        db = SpoolDatabase(structs, connection)
         importer = Importer(structs, filters, policy, db=db)
         importer.run(events, stacks)
         db.flush()
@@ -299,11 +267,7 @@ def build_store(
         write_lockseq_rows(connection, db.lockseq_dimension())
         connection.executescript(INDEXES_SQL)
 
-        meta = {
-            "health": health_to_json(health),
-            "shard_index": str(shard_index),
-            "shard_count": str(shard_count),
-        }
+        meta = {"health": health_to_json(health)}
         if meta_extra:
             meta.update(meta_extra)
         write_meta(connection, meta)
@@ -332,200 +296,24 @@ def _fsync_file(path: str) -> None:
         pass
 
 
-def _shard_worker(
-    trace_path: str,
-    recipe: str,
-    policy: Optional[ImportPolicy],
-    shard_index: int,
-    shard_count: int,
-    out_path: str,
-) -> None:
-    """One sharded-build worker: full replay, partition-only spool."""
-    from repro.tracing.serialize import open_binary_stream
-    from repro.workloads.registry import database_inputs
-
-    structs, filters = database_inputs(recipe)
-    with open(trace_path, "rb") as fp:
-        stream = open_binary_stream(fp)
-        build_store(
-            out_path,
-            stream.events,
-            stream.stacks,
-            structs,
-            filters,
-            policy,
-            shard_index=shard_index,
-            shard_count=shard_count,
-            meta_extra={"recipe": recipe},
-        )
-
-
-#: Small relations copied verbatim from shard 0 during a merge (every
-#: worker builds identical copies — they are global state).
-_SHARED_TABLES = (
-    "data_types", "type_layout", "allocations", "locks", "txns",
-    "txn_locks", "stack_traces", "subclasses",
-)
-
-
-def merge_shards(
-    path: str,
-    shard_paths: Sequence[str],
-    meta_extra: Optional[Dict[str, str]] = None,
-) -> TraceHealth:
-    """Merge shard stores into one complete store at *path*.
-
-    Small relations come from shard 0 (identical everywhere); access
-    partitions are inserted in ``access_id`` order with shard-local
-    lockseq ids remapped through a temp table; partition-local health
-    counters are summed.
-    """
-    tmp = f"{path}.{os.getpid()}.merge.tmp"
-    connection: Optional[sqlite3.Connection] = sqlite3.connect(tmp)
-    try:
-        apply_bulk_pragmas(connection)
-        connection.executescript(TABLES_SQL)
-        connection.execute(
-            "CREATE TEMP TABLE seqmap (old INTEGER PRIMARY KEY, new INTEGER NOT NULL)"
-        )
-        merged_seq_ids: Dict[str, int] = {}
-        healths: List[TraceHealth] = []
-        stack_count = "1"
-        recipe = None
-        for index, shard_path in enumerate(shard_paths):
-            connection.execute("ATTACH DATABASE ? AS shard", (str(shard_path),))
-            shard_meta = dict(
-                connection.execute("SELECT key, value FROM shard.meta")
-            )
-            if shard_meta.get("complete") != "1":
-                raise StoreCorrupt(f"incomplete shard store {shard_path}")
-            healths.append(health_from_json(shard_meta["health"]))
-            if index == 0:
-                stack_count = shard_meta.get("stack_count", "1")
-                recipe = shard_meta.get("recipe")
-                for table in _SHARED_TABLES:
-                    connection.execute(
-                        f"INSERT INTO {table} SELECT * FROM shard.{table}"
-                    )
-            connection.execute("DELETE FROM seqmap")
-            remap = []
-            for old_id, text in connection.execute(
-                "SELECT lockseq_id, lockseq FROM shard.lockseqs"
-            ):
-                new_id = merged_seq_ids.get(text)
-                if new_id is None:
-                    new_id = len(merged_seq_ids)
-                    merged_seq_ids[text] = new_id
-                remap.append((old_id, new_id))
-            connection.executemany("INSERT INTO seqmap VALUES (?, ?)", remap)
-            connection.execute(
-                "INSERT INTO accesses "
-                "SELECT a.access_id, a.ts, a.ctx_id, a.txn_id, a.alloc_id, "
-                "a.data_type, a.subclass, a.member, a.access_type, a.address, "
-                "a.size, a.stack_id, a.file, a.line, m.new, a.filter_reason "
-                "FROM shard.accesses a JOIN seqmap m ON m.old = a.lockseq_id "
-                "ORDER BY a.access_id"
-            )
-            connection.commit()  # an open txn would pin the attached db
-            connection.execute("DETACH DATABASE shard")
-        write_lockseq_rows(
-            connection,
-            (
-                (seq_id, parse_lockseq(text))
-                for text, seq_id in merged_seq_ids.items()
-            ),
-        )
-        connection.executescript(INDEXES_SQL)
-        health = replace(
-            healths[0],
-            synthetic_accesses=sum(h.synthetic_accesses for h in healths),
-            fenced_accesses=sum(h.fenced_accesses for h in healths),
-            scrubbed_accesses=sum(h.scrubbed_accesses for h in healths),
-        )
-        meta = {
-            "health": health_to_json(health),
-            "stack_count": stack_count,
-            "shard_index": "0",
-            "shard_count": "1",
-            "merged_from": str(len(shard_paths)),
-        }
-        if recipe is not None:
-            meta["recipe"] = recipe
-        if meta_extra:
-            meta.update(meta_extra)
-        write_meta(connection, meta)
-        write_meta(connection, completion_meta(connection))
-        connection.commit()
-        connection.close()
-        connection = None
-        _fsync_file(tmp)
-        os.replace(tmp, path)
-        return health
-    finally:
-        if connection is not None:
-            connection.close()
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def build_store_from_trace(
     path: str,
     trace_path: str,
     recipe: str,
-    shard_count: Optional[int] = None,
     policy: Optional[ImportPolicy] = None,
     meta_extra: Optional[Dict[str, str]] = None,
 ) -> TraceHealth:
-    """Build a store from a binary trace file, sharded across processes.
+    """Build a store from a binary trace file, streaming it.
 
-    Each worker streams the file independently (no event pickling
-    between processes) and writes one partition; the shards are then
-    merged.  ``shard_count=1`` — or a failure to fan out — degrades to
-    a serial in-process build with identical output.
+    The file is decoded event by event straight into the spooling
+    importer, so no event list or access table is ever resident.  The
+    store's ``recipe`` meta key records *recipe*.
     """
-    if shard_count is None:
-        shard_count = default_shard_count()
-    if shard_count <= 1:
-        return _serial_build_from_trace(path, trace_path, recipe, policy, meta_extra)
-    shard_paths = [f"{path}.shard{index}" for index in range(shard_count)]
-    try:
-        try:
-            with ProcessPoolExecutor(max_workers=shard_count) as pool:
-                futures = [
-                    pool.submit(
-                        _shard_worker, trace_path, recipe, policy,
-                        index, shard_count, shard_paths[index],
-                    )
-                    for index in range(shard_count)
-                ]
-                for future in futures:
-                    future.result()
-        except (OSError, RuntimeError):
-            # Process pools need working fork/spawn; degrade to serial.
-            return _serial_build_from_trace(
-                path, trace_path, recipe, policy, meta_extra
-            )
-        return merge_shards(path, shard_paths, meta_extra)
-    finally:
-        for shard_path in shard_paths:
-            if os.path.exists(shard_path):
-                os.unlink(shard_path)
-
-
-def _serial_build_from_trace(
-    path: str,
-    trace_path: str,
-    recipe: str,
-    policy: Optional[ImportPolicy],
-    meta_extra: Optional[Dict[str, str]],
-) -> TraceHealth:
     from repro.tracing.serialize import open_binary_stream
     from repro.workloads.registry import database_inputs
 
     structs, filters = database_inputs(recipe)
-    meta = {"recipe": recipe}
-    if meta_extra:
-        meta.update(meta_extra)
+    meta = {"recipe": recipe, **(meta_extra or {})}
     with open(trace_path, "rb") as fp:
         stream = open_binary_stream(fp)
         return build_store(

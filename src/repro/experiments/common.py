@@ -39,9 +39,8 @@ DEFAULT_SEED = 0
 DEFAULT_WORKLOAD = "mix"
 
 #: Trace query backends: the in-memory ``TraceDatabase`` and the
-#: out-of-core sharded SQLite store.  Both produce byte-identical
-#: analysis output; they differ only in resident memory and build
-#: strategy.
+#: out-of-core SQLite store.  Both produce byte-identical analysis
+#: output; they differ only in resident memory.
 BACKENDS = ("memory", "sqlite")
 DEFAULT_BACKEND = "memory"
 
@@ -139,9 +138,9 @@ class Pipeline:
         """The out-of-core SQLite trace store for this run.
 
         Lives in the artifact cache tier when the workload is cacheable
-        and caching is on (built sharded from the cached trace file);
-        otherwise built serially into a private temp directory from the
-        run's tracer.  A torn/corrupt cached store is quarantined and
+        and caching is on (built by streaming the cached trace file);
+        otherwise built into a private temp directory from the run's
+        tracer.  A torn/corrupt cached store is quarantined and
         rebuilt — same contract as every other cache tier.
         """
         if self._store is None:
@@ -177,13 +176,13 @@ class Pipeline:
             else None
         )
         if trace_file is not None and trace_file.exists():
-            # Sharded parallel build, streaming the cached trace file.
+            # Stream the cached trace file: the events never need to
+            # be resident, so the build stays out of core.
             sqlstore.build_store_from_trace(
                 str(path), str(trace_file), recipe, meta_extra=meta
             )
         else:
-            # No trace file to fan out over: serial in-process build
-            # straight from the run's event stream.
+            # No trace file: build straight from the run's event stream.
             tracer = self.mix.tracer
             stacks = [tracer.stack(i) for i in range(tracer.stack_count)]
             structs, filters = registry.database_inputs(recipe)

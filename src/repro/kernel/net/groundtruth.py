@@ -37,11 +37,10 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.db.filters import FilterConfig
-from repro.kernel.vfs.spec import LockTok, MemberSpec, TypeSpec
+from repro.kernel.vfs.spec import LockTok, MemberSpec, TypeSpec, global_lock_tokens
 
 ES = LockTok.es
 VIA = LockTok.via_
-GLOBAL = LockTok.global_
 RCU = LockTok.rcu
 
 #: Global (static) locks the net model uses: name -> lock class.
@@ -49,6 +48,8 @@ NET_GLOBAL_LOCKS: Dict[str, str] = {
     "net_family_lock": "spinlock_t",
     "rtnl_mutex": "mutex",
 }
+
+GLOBAL = global_lock_tokens(NET_GLOBAL_LOCKS)
 
 #: Functions whose dynamic extent is object construction/teardown.
 NET_INIT_TEARDOWN_FUNCTIONS = {
@@ -272,7 +273,7 @@ def build_net_device_spec() -> TypeSpec:
     ``addr_list_lock`` spinlock; per-cpu-style stats are lock-free.
     ``flags`` writes deviate (planted bug: a flag-toggle path skips
     rtnl)."""
-    rtnl = (GLOBAL("rtnl_mutex", lock_class="mutex"),)
+    rtnl = (GLOBAL("rtnl_mutex"),)
     addrs = (ES("addr_list_lock"),)
     t = [
         _m("name", weight=2.0, ww=0),

@@ -23,11 +23,10 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.db.filters import FilterConfig
-from repro.kernel.vfs.spec import LockTok, MemberSpec, TypeSpec
+from repro.kernel.vfs.spec import LockTok, MemberSpec, TypeSpec, global_lock_tokens
 
 ES = LockTok.es
 VIA = LockTok.via_
-GLOBAL = LockTok.global_
 RCU = LockTok.rcu
 
 #: Global (static) locks the VFS model uses: name -> lock class.
@@ -42,6 +41,8 @@ GLOBAL_LOCKS: Dict[str, str] = {
     "bdi_lock": "spinlock_t",
     "pipe_user_lock": "spinlock_t",
 }
+
+GLOBAL = global_lock_tokens(GLOBAL_LOCKS)
 
 #: Functions whose dynamic extent is object construction/teardown.
 INIT_TEARDOWN_FUNCTIONS = {

@@ -37,7 +37,7 @@ kind      meaning
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.lockrefs import LockRef
 from repro.core.rules import LockingRule
@@ -103,6 +103,25 @@ class LockTok:
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown token kind {self.kind}")
         return refs
+
+
+def global_lock_tokens(classes: Dict[str, str]) -> Callable[..., LockTok]:
+    """The ``GLOBAL(name, mode, flavor)`` token helper of one subsystem.
+
+    A global lock's class comes from *classes*, the subsystem's
+    ``name -> lock class`` table, never from the call site: whichever
+    op touches a static lock first creates it, so a token that assumed
+    the default class would create ``rename_lock`` as a spinlock when a
+    generic member op ran before ``d_move``.  A name missing from the
+    table raises ``KeyError`` when the spec is built.
+    """
+
+    def GLOBAL(name: str, mode: str = "w", flavor: Optional[str] = None) -> LockTok:
+        if name not in classes:
+            raise KeyError(f"global lock {name!r} is missing from the lock table")
+        return LockTok.global_(name, mode, flavor, lock_class=classes[name])
+
+    return GLOBAL
 
 
 RuleSpec = Tuple[LockTok, ...]

@@ -2,11 +2,12 @@
 
 The store's contract is *bit-identical analysis*: every relation, the
 observation fold, and the health report must match what the in-memory
-importer produces — on clean traces, on fault-corrupted traces, built
-serially or sharded.  Plus the crash-safety contract: a torn file is
-refused, a failed build leaves nothing behind.
+importer produces — on clean traces and on fault-corrupted traces, also
+when built inside a daemonic worker process.  Plus the crash-safety
+contract: a torn file is refused, a failed build leaves nothing behind.
 """
 
+import multiprocessing
 import os
 import sqlite3
 
@@ -159,60 +160,46 @@ class TestFoldParity:
 
 
 # ----------------------------------------------------------------------
-# Sharded build == serial build
+# Building inside a daemonic process (the daemon's workers)
 # ----------------------------------------------------------------------
 
 
-class TestShardedBuild:
-    def test_sharded_equals_serial(self, tmp_path, mix_trace):
-        trace_path = tmp_path / "mix.bin"
-        with open(trace_path, "wb") as fp:
-            serialize.write_binary(
-                mix_trace["events"], mix_trace["stacks"], fp
-            )
-        serial = tmp_path / "serial.store.sqlite"
-        sharded = tmp_path / "sharded.store.sqlite"
-        health_serial = sqlstore.build_store_from_trace(
-            str(serial), str(trace_path), "vfs", shard_count=1
-        )
-        health_sharded = sqlstore.build_store_from_trace(
-            str(sharded), str(trace_path), "vfs", shard_count=3
-        )
-        assert health_sharded == health_serial
-        a = sqlstore.SqliteTraceStore(str(serial))
-        b = sqlstore.SqliteTraceStore(str(sharded))
-        try:
-            assert b.load_database().accesses == a.load_database().accesses
-            assert b.counts() == a.counts()
-            fold_a, fold_b = a.fold(), b.fold()
-            assert fold_b.keys() == fold_a.keys()
-            for key in fold_a.keys():
-                assert fold_b.sequences(*key) == fold_a.sequences(*key)
-        finally:
-            a.close()
-            b.close()
+def _build_from_trace(store_path: str, trace_path: str) -> None:
+    sqlstore.build_store_from_trace(store_path, trace_path, "vfs")
 
-    def test_shard_files_cleaned_up(self, tmp_path, mix_trace):
+
+class TestDaemonicBuild:
+    def test_build_inside_daemonic_process(self, tmp_path, mix_trace):
+        """The analysis daemon runs requests in daemonic workers, which
+        may not start child processes; the store build must not need
+        any."""
         trace_path = tmp_path / "mix.bin"
         with open(trace_path, "wb") as fp:
             serialize.write_binary(
                 mix_trace["events"], mix_trace["stacks"], fp
             )
-        out = tmp_path / "out.store.sqlite"
-        sqlstore.build_store_from_trace(
-            str(out), str(trace_path), "vfs", shard_count=2
+        child_path = tmp_path / "child.store.sqlite"
+        child = multiprocessing.get_context("spawn").Process(
+            target=_build_from_trace,
+            args=(str(child_path), str(trace_path)),
+            daemon=True,
         )
-        leftovers = [
-            name for name in os.listdir(tmp_path)
-            if name not in ("mix.bin", "out.store.sqlite")
+        child.start()
+        child.join(timeout=300)
+        assert child.exitcode == 0
+
+        local_path = tmp_path / "local.store.sqlite"
+        _build_from_trace(str(local_path), str(trace_path))
+        assert sorted(os.listdir(tmp_path)) == [  # no *.tmp left behind
+            "child.store.sqlite", "local.store.sqlite", "mix.bin",
         ]
-        assert leftovers == []
-
-    def test_default_shard_count_env_override(self, monkeypatch):
-        monkeypatch.setenv(sqlstore.SHARDS_ENV, "7")
-        assert sqlstore.default_shard_count() == 7
-        monkeypatch.setenv(sqlstore.SHARDS_ENV, "junk")
-        assert sqlstore.default_shard_count() >= 1
+        built = sqlstore.SqliteTraceStore(str(child_path))
+        local = sqlstore.SqliteTraceStore(str(local_path))
+        try:
+            assert built.counts() == local.counts()
+        finally:
+            built.close()
+            local.close()
 
 
 # ----------------------------------------------------------------------

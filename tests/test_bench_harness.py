@@ -25,6 +25,9 @@ def test_bench_workload_record_shape():
     assert record["targets"] > 0
     assert 0.0 <= record["memo_hit_rate"] <= 1.0
     assert record["speedup_vs_serial"] > 0
+    # baseline / parallel, so it is named for the baseline it divides.
+    assert record["speedup_parallel_vs_baseline"] > 0
+    assert "speedup_parallel_vs_serial" not in record
     for field in ("trace_s", "import_s", "derive_baseline_s",
                   "derive_serial_s", "derive_parallel_s", "targets_per_s"):
         assert record[field] is not None
@@ -38,7 +41,7 @@ def test_main_writes_json(tmp_path):
     ])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == "lockdoc-bench-derive/1"
+    assert report["schema"] == "lockdoc-bench-derive/2"
     assert "fsstress" in report["workloads"]
 
 

@@ -12,7 +12,8 @@ from repro.kernel.vfs.groundtruth import (
     build_filter_config,
 )
 from repro.kernel.vfs.layouts import build_struct_registry
-from repro.kernel.vfs.spec import LockTok
+from repro.kernel.net.groundtruth import NET_GLOBAL_LOCKS, build_net_specs
+from repro.kernel.vfs.spec import LockTok, global_lock_tokens
 
 SPECS = build_all_specs()
 REGISTRY = build_struct_registry()
@@ -112,3 +113,25 @@ def test_buffer_head_rules_are_irq_safe():
     spec = SPECS["buffer_head"]
     rule = spec.expected_rule("b_state", "w")
     assert rule.locks[0].name == "hardirq"
+
+
+@pytest.mark.parametrize(
+    "specs, table",
+    [(SPECS, GLOBAL_LOCKS), (build_net_specs(), NET_GLOBAL_LOCKS)],
+    ids=["vfs", "net"],
+)
+def test_global_tokens_take_class_from_lock_table(specs, table):
+    # The first op to touch a static lock creates it with the token's
+    # class, so every token must carry the class the table declares.
+    for spec in specs.values():
+        for member in spec.members:
+            for token in member.read + member.write:
+                if token.kind == "global":
+                    assert token.lock_class == table[token.name], token
+
+
+def test_global_lock_missing_from_table_raises():
+    GLOBAL = global_lock_tokens({"sb_lock": "spinlock_t"})
+    assert GLOBAL("sb_lock").lock_class == "spinlock_t"
+    with pytest.raises(KeyError, match="rename_lock"):
+        GLOBAL("rename_lock")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernel.locks import LockClass
 from repro.kernel.sched import Scheduler
 from repro.kernel.vfs.fs import VfsWorld
 from repro.workloads.base import FSTYPE_WEIGHTS, Workload
@@ -54,6 +55,15 @@ def test_mix_runs_and_produces_all_type_keys():
     assert "buffer_head" in keys
     assert "journal_t" in keys
     assert len([k for k in keys if k.startswith("inode:")]) == 11
+
+
+@pytest.mark.parametrize("seed", [29, 49, 52])
+def test_mix_creates_rename_lock_as_seqlock(seed):
+    # On these seeds a generic dentry op touches rename_lock before
+    # d_move does; the lock must still be created as the seqlock.
+    result = run_benchmark_mix(seed=seed, scale=1.0)
+    rename_lock = result.world.rt.static_locks["rename_lock"]
+    assert rename_lock.lock_class is LockClass.SEQLOCK
 
 
 def test_mix_is_deterministic():
