@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 
 class Scope(enum.Enum):
@@ -111,6 +111,65 @@ class LockRef:
 LockSeq = Tuple[LockRef, ...]
 
 
+#: Interned reference pairs: ``(name, owner_type) -> {mode: (primary,
+#: other)}``.  See :class:`LockScope`.
+RefPairs = Dict[Tuple[str, Optional[str]], Dict[str, Tuple[LockRef, Optional[LockRef]]]]
+
+
+class LockScope:
+    """How one lock instance abstracts, with its refs interned per mode.
+
+    A static, pseudo or unowned lock is ``GLOBAL`` whatever the access
+    goes to; a lock embedded in allocation ``owner_alloc_id`` is ``ES``
+    for accesses to that allocation and ``EO`` for every other one.  A
+    lock's identity never changes once resolved, so each mode's
+    ``(primary, other)`` pair is built once and shared by every access
+    made under the lock.
+
+    ``name`` and ``owner_type`` are the abstracted identity: the lock's
+    own name for a global, else its member name and owning struct type.
+    *interned* is the caller's :data:`RefPairs` table, passed to every
+    scope it creates: instances with one identity share one pair table
+    (refs are immutable values), so each of a trace's thousands of lock
+    instances costs one small object, not a dict and two refs.
+    """
+
+    __slots__ = ("owner_alloc_id", "name", "owner_type", "_pairs")
+
+    def __init__(
+        self,
+        interned: RefPairs,
+        name: str,
+        is_static: bool,
+        owner_alloc_id: Optional[int] = None,
+        owner_member: Optional[str] = None,
+        owner_data_type: Optional[str] = None,
+    ) -> None:
+        embedded = not is_static and owner_alloc_id is not None
+        self.owner_alloc_id = owner_alloc_id if embedded else None
+        self.name = (owner_member or name) if embedded else name
+        self.owner_type = (owner_data_type or "?") if embedded else None
+        self._pairs = interned.setdefault((self.name, self.owner_type), {})
+
+    def ref(self, mode: str, accessed_alloc_id: int) -> LockRef:
+        """The reference this lock, held in *mode*, contributes to the
+        lock sequence of an access to *accessed_alloc_id*."""
+        pair = self._pairs.get(mode)
+        if pair is None:
+            if self.owner_type is None:
+                pair = (LockRef.global_(self.name, mode), None)
+            else:
+                pair = (
+                    LockRef.es(self.name, self.owner_type, mode),
+                    LockRef.eo(self.name, self.owner_type, mode),
+                )
+            self._pairs[mode] = pair
+        primary, other = pair
+        if other is None or accessed_alloc_id == self.owner_alloc_id:
+            return primary
+        return other
+
+
 def satisfies(held: LockRef, needed: LockRef) -> bool:
     """True if holding *held* satisfies a rule's *needed* reference.
 
@@ -136,6 +195,8 @@ def dedup_refs(refs: Sequence[LockRef]) -> LockSeq:
     two inode ``i_lock``\\ s while accessing a third object) collapses to
     one EO reference — rule semantics cannot distinguish them.
     """
+    if len(refs) < 2:
+        return tuple(refs)
     seen = set()
     out = []
     for ref in refs:

@@ -31,6 +31,9 @@ class TraceDatabase:
         # Indexes
         self._accesses_by_type: Dict[str, List[AccessRow]] = defaultdict(list)
         self._accesses_by_txn: Dict[Optional[int], List[AccessRow]] = defaultdict(list)
+        #: Every row (kept or not) per context, in table order: the
+        #: span repairs touch one context's rows, not the whole table.
+        self._accesses_by_ctx: Dict[int, List[AccessRow]] = defaultdict(list)
 
     # ------------------------------------------------------------------
     # Population (importer API)
@@ -47,6 +50,7 @@ class TraceDatabase:
 
     def add_access(self, row: AccessRow) -> None:
         self.accesses.append(row)
+        self._accesses_by_ctx[row.ctx_id].append(row)
         if row.kept:
             self._accesses_by_type[row.type_key].append(row)
             self._accesses_by_txn[row.txn_id].append(row)
@@ -85,12 +89,8 @@ class TraceDatabase:
         newly filtered.
         """
         flagged = 0
-        for row in self.accesses:
-            if (
-                row.filter_reason is None
-                and row.ctx_id == ctx_id
-                and start_ts <= row.ts <= end_ts
-            ):
+        for row in self._accesses_by_ctx.get(ctx_id, ()):
+            if row.filter_reason is None and start_ts <= row.ts <= end_ts:
                 row.filter_reason = reason
                 self._accesses_by_type[row.type_key].remove(row)
                 self._accesses_by_txn[row.txn_id].remove(row)
@@ -111,10 +111,9 @@ class TraceDatabase:
         Returns how many rows were repaired.
         """
         scrubbed = 0
-        for row in self.accesses:
+        for row in self._accesses_by_ctx.get(ctx_id, ()):
             if (
-                row.ctx_id != ctx_id
-                or not cutoff_ts < row.ts <= end_ts
+                not cutoff_ts < row.ts <= end_ts
                 or row.filter_reason is not None
                 or not row.lockseq
             ):

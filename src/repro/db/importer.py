@@ -44,9 +44,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.lockrefs import LockRef, LockSeq, dedup_refs
+from repro.core.lockrefs import LockScope, LockSeq, RefPairs, dedup_refs
 from repro.db.database import TraceDatabase
 from repro.db.filters import (
     REASON_STALE_LOCK,
@@ -180,10 +181,16 @@ class _LiveIndex:
 
 @dataclass
 class _CtxState:
+    #: Position of this context in first-seen order.
+    rank: int
     #: Currently held locks: (lock_id, mode, acquire_ts).
     held: List[Tuple[int, str, int]] = field(default_factory=list)
     txn: Optional[_PendingTxn] = None
     pseudo_frame: Optional[str] = None  # outermost function of pseudo-txn
+    #: accessed alloc_id -> its lock sequence under ``held``; cleared at
+    #: every change of ``held`` during the replay (the sequence depends
+    #: on nothing else).
+    seqs: Dict[int, LockSeq] = field(default_factory=dict)
 
 
 class Importer:
@@ -222,6 +229,13 @@ class Importer:
         self.total_events = 0
         self._live = _LiveIndex()
         self._ctx: Dict[int, _CtxState] = {}
+        #: lock_id -> {ctx_id: held entries of that lock}, for every
+        #: lock some context holds right now: mutual-exclusion healing
+        #: visits the current holders, not every context ever seen.
+        self._holders: Dict[int, Dict[int, int]] = {}
+        #: lock_id -> its interned lock references.
+        self._scopes: Dict[int, LockScope] = {}
+        self._ref_pairs: RefPairs = {}
         self._txn_counter = 0
         self._access_counter = 0
         self._stack_functions: Dict[int, FrozenSet[str]] = {}
@@ -308,8 +322,9 @@ class Importer:
                 # beyond that the entry is presumed stale — scrub the
                 # lock from the affected lock sequences instead of
                 # discarding the accesses.
-                self.scrubbed_accesses += self._scrub_stale_lock(
-                    ctx_id, lock_id, mode, start_ts + cap, end_ts
+                self.scrubbed_accesses += self.db.scrub_stale_lock(
+                    ctx_id, start_ts + cap, end_ts,
+                    partial(self._scopes[lock_id].ref, mode),
                 )
 
     def _hold_cap(self, lock_id: int) -> Optional[int]:
@@ -321,27 +336,6 @@ class Importer:
         if lock is None:
             return None
         return self._class_max_hold.get(lock.lock_class)
-
-    def _scrub_stale_lock(
-        self, ctx_id: int, lock_id: int, mode: str, cutoff_ts: int, end_ts: int
-    ) -> int:
-        """Remove a presumed-stale lock from affected lock sequences.
-
-        Accesses *ctx_id* made in ``(cutoff_ts, end_ts]`` were resolved
-        while the stale entry still sat in the held set; their recorded
-        sequences contain one lock reference too many.  Dropping that
-        reference repairs the observation instead of discarding it, so
-        low-traffic members keep their support.
-        """
-        lock = self.db.locks.get(lock_id)
-        if lock is None:  # pragma: no cover - defensive
-            return 0
-        return self.db.scrub_stale_lock(
-            ctx_id,
-            cutoff_ts,
-            end_ts,
-            lambda alloc_id: self._ref_for(lock, mode, alloc_id),
-        )
 
     def _enforce_budget(self) -> None:
         if self.total_events < self.policy.min_events_for_budget:
@@ -397,9 +391,33 @@ class Importer:
     def _state(self, ctx_id: int) -> _CtxState:
         state = self._ctx.get(ctx_id)
         if state is None:
-            state = _CtxState()
+            state = _CtxState(rank=len(self._ctx))
             self._ctx[ctx_id] = state
         return state
+
+    def _push_held(
+        self, ctx_id: int, state: _CtxState, lock_id: int, mode: str, ts: int
+    ) -> None:
+        state.held.append((lock_id, mode, ts))
+        state.seqs.clear()
+        holders = self._holders.setdefault(lock_id, {})
+        holders[ctx_id] = holders.get(ctx_id, 0) + 1
+
+    def _pop_held(
+        self, ctx_id: int, state: _CtxState, index: int
+    ) -> Tuple[int, str, int]:
+        """Remove ``state.held[index]``, keeping the holder index exact."""
+        entry = state.held.pop(index)
+        state.seqs.clear()
+        lock_id = entry[0]
+        holders = self._holders[lock_id]
+        if holders[ctx_id] > 1:
+            holders[ctx_id] -= 1
+        elif len(holders) > 1:
+            del holders[ctx_id]
+        else:
+            del self._holders[lock_id]
+        return entry
 
     def _close_txn(self, state: _CtxState, end_ts: int) -> None:
         txn = state.txn
@@ -492,12 +510,14 @@ class Importer:
         if event.is_acquire:
             self._heal_lost_release(state, event)
             self._heal_foreign_holders(event)
-            state.held.append((event.lock_id, event.mode, event.ts))
+            self._push_held(
+                event.ctx_id, state, event.lock_id, event.mode, event.ts
+            )
         else:
             for index in range(len(state.held) - 1, -1, -1):
                 if state.held[index][0] == event.lock_id:
                     self._record_hold(event, event.ts - state.held[index][2])
-                    del state.held[index]
+                    self._pop_held(event.ctx_id, state, index)
                     break
             else:
                 # No matching acquisition in this context: either the
@@ -535,8 +555,7 @@ class Importer:
             return
         for index in range(len(state.held) - 1, -1, -1):
             if state.held[index][0] == event.lock_id:
-                _, mode, acquire_ts = state.held[index]
-                del state.held[index]
+                _, mode, acquire_ts = self._pop_held(event.ctx_id, state, index)
                 self.healed_releases += 1
                 self._fences.append(
                     (event.ctx_id, event.lock_id, mode, acquire_ts, event.ts)
@@ -552,18 +571,27 @@ class Importer:
         acquisition likewise excludes a foreign *exclusive* holder.
         Evicting at the earliest provable point keeps the suspect span
         (and the damage it fences off) as short as possible.
+
+        Only the lock's current holders are visited, in the order their
+        contexts were first seen, so the cost is O(holders) and the
+        fences come out in the same order a scan over every context
+        would produce.
         """
         if event.lock_class in _PSEUDO_CLASSES:
             return
-        for ctx_id, state in self._ctx.items():
-            if ctx_id == event.ctx_id:
-                continue
+        holders = self._holders.get(event.lock_id)
+        if not holders:
+            return
+        foreign = [ctx_id for ctx_id in holders if ctx_id != event.ctx_id]
+        if len(foreign) > 1:
+            foreign.sort(key=lambda ctx_id: self._ctx[ctx_id].rank)
+        for ctx_id in foreign:
+            state = self._ctx[ctx_id]
             for index in range(len(state.held) - 1, -1, -1):
                 if state.held[index][0] == event.lock_id and (
                     event.mode == "w" or state.held[index][1] == "w"
                 ):
-                    _, mode, acquire_ts = state.held[index]
-                    del state.held[index]
+                    _, mode, acquire_ts = self._pop_held(ctx_id, state, index)
                     self.healed_releases += 1
                     self._fences.append(
                         (ctx_id, event.lock_id, mode, acquire_ts, event.ts)
@@ -586,6 +614,10 @@ class Importer:
                 owner_member = member.name if member is not None else None
             else:
                 is_static = True
+        self._scopes[event.lock_id] = LockScope(
+            self._ref_pairs, event.lock_name, is_static, owner_alloc_id,
+            owner_member, owner_data_type,
+        )
         self.db.add_lock(
             LockRow(
                 lock_id=event.lock_id,
@@ -696,25 +728,15 @@ class Importer:
     def _resolve_lockseq(
         self, state: _CtxState, accessed: AllocationRow
     ) -> LockSeq:
-        refs: List[LockRef] = []
-        for lock_id, mode, _ in state.held:
-            lock = self.db.locks.get(lock_id)
-            if lock is None:  # pragma: no cover - defensive
-                continue
-            refs.append(self._ref_for(lock, mode, accessed.alloc_id))
-        return dedup_refs(refs)
-
-    def _ref_for(self, lock: LockRow, mode: str, accessed_alloc_id: int) -> LockRef:
-        """Abstract one held lock relative to the accessed object."""
-        if lock.is_static or lock.owner_alloc_id is None:
-            return LockRef.global_(lock.name, mode)
-        if lock.owner_alloc_id == accessed_alloc_id:
-            return LockRef.es(
-                lock.owner_member or lock.name, lock.owner_data_type or "?", mode
+        """Abstract every held lock relative to the accessed object."""
+        alloc_id = accessed.alloc_id
+        seq = state.seqs.get(alloc_id)
+        if seq is None:
+            scopes = self._scopes
+            seq = state.seqs[alloc_id] = dedup_refs(
+                [scopes[lock_id].ref(mode, alloc_id) for lock_id, mode, _ in state.held]
             )
-        return LockRef.eo(
-            lock.owner_member or lock.name, lock.owner_data_type or "?", mode
-        )
+        return seq
 
     # ------------------------------------------------------------------
     # Stack helpers

@@ -175,19 +175,35 @@ class SpoolDatabase(TraceDatabase):
 
     # -- retroactive repairs (SQL flavours of the in-memory API) -------
 
-    def quarantine_txn_accesses(self, txn_id: int, reason: str) -> int:
+    def _prepare_repair(self) -> None:
+        """Flush the spool and index it for the repairs.
+
+        Every repair names one context, so a ``(ctx_id, ts)`` index
+        turns each one from a full-table scan into a range lookup.  The
+        importer runs all repairs after its last access row, so the
+        index is built once, over the finished table; :func:`build_store`
+        drops it again before the query indexes go on.
+        """
         self.flush()
+        self._conn.execute(
+            "CREATE INDEX IF NOT EXISTS idx_spool_repair ON accesses (ctx_id, ts)"
+        )
+
+    def quarantine_txn_accesses(self, txn_id: int, reason: str) -> int:
+        self._prepare_repair()
+        # A transaction's rows all belong to its context, so the ctx_id
+        # term only narrows the scan to that context's rows.
         cursor = self._conn.execute(
             "UPDATE accesses SET filter_reason = ? "
-            "WHERE txn_id = ? AND filter_reason IS NULL",
-            (reason, txn_id),
+            "WHERE ctx_id = ? AND txn_id = ? AND filter_reason IS NULL",
+            (reason, self.txns[txn_id].ctx_id, txn_id),
         )
         return cursor.rowcount
 
     def quarantine_span_accesses(
         self, ctx_id: int, start_ts: int, end_ts: int, reason: str
     ) -> int:
-        self.flush()
+        self._prepare_repair()
         cursor = self._conn.execute(
             "UPDATE accesses SET filter_reason = ? "
             "WHERE ctx_id = ? AND ts >= ? AND ts <= ? "
@@ -199,7 +215,7 @@ class SpoolDatabase(TraceDatabase):
     def scrub_stale_lock(
         self, ctx_id: int, cutoff_ts: int, end_ts: int, ref_for
     ) -> int:
-        self.flush()
+        self._prepare_repair()
         updates: List[Tuple[int, int]] = []
         cursor = self._conn.execute(
             "SELECT access_id, alloc_id, lockseq_id FROM accesses "
@@ -265,6 +281,7 @@ def build_store(
         write_txn_rows(connection, db.txns.values())
         write_stack_rows(connection, db.stack_table)
         write_lockseq_rows(connection, db.lockseq_dimension())
+        connection.execute("DROP INDEX IF EXISTS idx_spool_repair")
         connection.executescript(INDEXES_SQL)
 
         meta = {"health": health_to_json(health)}

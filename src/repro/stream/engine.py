@@ -63,7 +63,7 @@ from repro.analysis.lockset import _EMPTY, LocksetResult, MemberTrack
 from repro.analysis.racedetect import RaceReport, classify_candidates
 from repro.core.contention import ContentionReport, LockStats
 from repro.core.derivator import DerivationResult
-from repro.core.lockrefs import LockRef, LockSeq, dedup_refs
+from repro.core.lockrefs import LockScope, LockSeq, RefPairs, dedup_refs
 from repro.core.observations import ObsKey
 from repro.db.filters import FilterConfig
 from repro.db.importer import _PSEUDO_CLASSES, _LiveIndex
@@ -190,38 +190,12 @@ class _AllocState:
         self.addresses: List[int] = []
 
 
-class _LockInfo:
+class _LockInfo(LockScope):
     """Resolved identity of one lock instance (importer semantics:
-    owner resolved against the live index at first sight)."""
+    owner resolved against the live index at first sight) plus its
+    contention counters."""
 
-    __slots__ = (
-        "lock_id", "name", "lock_class", "is_static",
-        "owner_alloc_id", "owner_data_type", "owner_member",
-        "class_key", "stats", "_refs",
-    )
-
-    def __init__(self) -> None:
-        self._refs: Dict[str, Tuple[LockRef, Optional[LockRef]]] = {}
-
-    def ref(self, mode: str, accessed_alloc_id: int) -> LockRef:
-        """The abstract lock reference relative to the accessed object
-        (mirror of ``Importer._ref_for``), with per-mode interning."""
-        pair = self._refs.get(mode)
-        if pair is None:
-            if self.is_static or self.owner_alloc_id is None:
-                pair = (LockRef.global_(self.name, mode), None)
-            else:
-                owner_member = self.owner_member or self.name
-                owner_type = self.owner_data_type or "?"
-                pair = (
-                    LockRef.es(owner_member, owner_type, mode),
-                    LockRef.eo(owner_member, owner_type, mode),
-                )
-            self._refs[mode] = pair
-        primary, other = pair
-        if other is None or accessed_alloc_id == self.owner_alloc_id:
-            return primary
-        return other
+    __slots__ = ("stats",)
 
 
 class _Ctx:
@@ -296,6 +270,7 @@ class StreamEngine:
 
         # Locks, contexts, transactions.
         self._locks: Dict[int, _LockInfo] = {}
+        self._ref_pairs: RefPairs = {}
         self._ctx: Dict[int, _Ctx] = {}
         self._txn_counter = 0
         self._access_counter = 0
@@ -591,19 +566,13 @@ class StreamEngine:
     ) -> _LockInfo:
         """Mirror of ``Importer._ensure_lock_row``: owner resolved
         against the live index at the lock's first appearance."""
-        info = _LockInfo()
-        info.lock_id = lock_id
-        info.lock_class = lock_class
-        info.name = lock_name
-        info.owner_alloc_id = None
-        info.owner_data_type = None
-        info.owner_member = None
+        owner_alloc_id = owner_data_type = owner_member = None
         is_static = address is None or lock_class in _PSEUDO_CLASSES
         if address is not None:
             owner = self._live.find(address)
             if owner is not None:
-                info.owner_alloc_id = owner.alloc_id
-                info.owner_data_type = owner.data_type
+                owner_alloc_id = owner.alloc_id
+                owner_data_type = owner.data_type
                 member = None
                 if owner.data_type in self.structs:
                     try:
@@ -612,21 +581,20 @@ class StreamEngine:
                         )
                     except KeyError:
                         member = None
-                info.owner_member = member.name if member is not None else None
+                owner_member = member.name if member is not None else None
             else:
                 is_static = True
-        info.is_static = is_static
-        if is_static or info.owner_alloc_id is None:
-            info.class_key = ("global", lock_name, None)
+        info = _LockInfo(
+            self._ref_pairs, lock_name, is_static, owner_alloc_id,
+            owner_member, owner_data_type,
+        )
+        if info.owner_type is None:
+            class_key = ("global", info.name, None)
         else:
-            info.class_key = (
-                "embedded",
-                info.owner_data_type or "?",
-                info.owner_member or lock_name,
-            )
-        stats = self.lock_stats.get(info.class_key)
+            class_key = ("embedded", info.owner_type, info.name)
+        stats = self.lock_stats.get(class_key)
         if stats is None:
-            stats = self.lock_stats[info.class_key] = LockStats(info.class_key)
+            stats = self.lock_stats[class_key] = LockStats(class_key)
         info.stats = stats
         self._locks[lock_id] = info
         return info

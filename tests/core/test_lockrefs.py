@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lockrefs import LockRef, Scope, dedup_refs, satisfies
+from repro.core.lockrefs import LockRef, LockScope, Scope, dedup_refs, satisfies
 
 
 class TestConstruction:
@@ -103,3 +103,41 @@ class TestDedup:
 
     def test_empty(self):
         assert dedup_refs([]) == ()
+
+    def test_single_ref(self):
+        a = LockRef.global_("a")
+        assert dedup_refs([a]) == (a,)
+
+
+class TestLockScope:
+    def test_static_lock_is_global_for_every_access(self):
+        scope = LockScope({}, "inode_hash_lock", is_static=True, owner_alloc_id=3)
+        assert scope.ref("w", 3) == LockRef.global_("inode_hash_lock")
+        assert scope.ref("r", 9) == LockRef.global_("inode_hash_lock", "r")
+
+    def test_unowned_lock_is_global(self):
+        scope = LockScope({}, "l", is_static=False)
+        assert scope.ref("w", 1) == LockRef.global_("l")
+
+    def test_embedded_lock_is_es_on_its_owner_and_eo_elsewhere(self):
+        scope = LockScope({}, "lock", False, 3, "i_lock", "inode")
+        assert scope.ref("w", 3) == LockRef.es("i_lock", "inode")
+        assert scope.ref("w", 4) == LockRef.eo("i_lock", "inode")
+        assert scope.ref("r", 4) == LockRef.eo("i_lock", "inode", "r")
+
+    def test_missing_member_and_type_fall_back(self):
+        scope = LockScope({}, "lock", False, 3)
+        assert scope.ref("w", 3) == LockRef.es("lock", "?")
+
+    def test_refs_are_interned_per_mode(self):
+        scope = LockScope({}, "lock", False, 3, "i_lock", "inode")
+        assert scope.ref("w", 3) is scope.ref("w", 3)
+        assert scope.ref("w", 5) is scope.ref("w", 6)
+
+    def test_instances_of_one_identity_share_refs(self):
+        interned = {}
+        first = LockScope(interned, "lock", False, 3, "i_lock", "inode")
+        second = LockScope(interned, "lock", False, 4, "i_lock", "inode")
+        assert first.ref("w", 9) is second.ref("w", 9)
+        assert first.ref("w", 3) is second.ref("w", 4)
+        assert len(interned) == 1
