@@ -8,7 +8,8 @@ expensive artifacts derived from them) under a cache directory keyed
 by exactly that tuple:
 
 * **trace tier** — the binary trace (``<key>.trace.bin``) plus a JSON
-  sidecar with human-readable metadata.  The key digests the workload
+  sidecar with human-readable metadata and the per-kind event counts
+  (so ``stats`` never decodes the trace).  The key digests the workload
   name, seed, scale, the trace-format version
   (:data:`repro.tracing.serialize.FORMAT_VERSION`) and the **kernel
   revision** — a content hash over every source file that can change
@@ -56,6 +57,10 @@ from repro.tracing.serialize import (
 from repro.tracing.tracer import TraceStats
 
 _ENV_DIR = "LOCKDOC_CACHE_DIR"
+
+#: The per-kind event counts (:class:`TraceStats` fields) a trace
+#: sidecar records.
+_COUNT_FIELDS = ("lock_ops", "accesses", "allocs", "frees")
 
 #: Workloads eligible for disk caching: their factories are pure
 #: functions of ``(seed, scale)`` and the hashed source revision.
@@ -323,12 +328,54 @@ class CachedRun:
             # from a live run.
             return self._entry_corrupt(exc).to_database()
 
+    def sidecar_stats(self) -> Optional[TraceStats]:
+        """The per-kind counts from the trace's sidecar, if trustworthy.
+
+        They are trusted only if they sum to the sidecar's ``events``
+        and its ``bytes`` equals the trace file's size (the recovery
+        sweep's check).  A sidecar written before the counts existed, a
+        torn or mismatched pair, or an entry already found corrupt
+        gives None.
+        """
+        if self._live is not None:
+            return None
+        try:
+            meta = json.loads(
+                _meta_path(trace_key(self.workload, self.seed, self.scale))
+                .read_text()
+            )
+            size = self.path.stat().st_size
+        except (OSError, ValueError):
+            return None
+        if not isinstance(meta, dict):
+            return None
+        counts = [meta.get(name) for name in _COUNT_FIELDS]
+        if any(type(count) is not int or count < 0 for count in counts):
+            return None
+        if sum(counts) != meta.get("events") or meta.get("bytes") != size:
+            return None
+        return TraceStats(*counts)
+
     def __getattr__(self, name: str):
         # Anything beyond the trace (e.g. tab3's ``.world``) needs the
         # simulation itself; re-run it once, lazily.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._live_run(), name)
+
+
+def trace_stats(run) -> TraceStats:
+    """Per-kind event counts of *run*'s trace (a registry run result).
+
+    A :class:`CachedRun` answers from its sidecar without decoding the
+    trace when :meth:`CachedRun.sidecar_stats` trusts it; every other
+    case counts through ``run.tracer.stats``.
+    """
+    if isinstance(run, CachedRun):
+        stats = run.sidecar_stats()
+        if stats is not None:
+            return stats
+    return run.tracer.stats
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +387,7 @@ def store_trace(workload: str, seed: int, scale: float, tracer) -> Path:
     path = trace_path(workload, seed, scale)
     payload = dumps_events_binary(tracer.events, stacks_of(tracer))
     _atomic_write(path, payload)
+    stats = tracer.stats
     meta = {
         "workload": workload,
         "seed": int(seed),
@@ -350,6 +398,7 @@ def store_trace(workload: str, seed: int, scale: float, tracer) -> Path:
         "stacks": tracer.stack_count,
         "bytes": len(payload),
     }
+    meta.update((name, getattr(stats, name)) for name in _COUNT_FIELDS)
     _atomic_write(
         _meta_path(trace_key(workload, seed, scale)),
         json.dumps(meta, indent=2, sort_keys=True).encode() + b"\n",

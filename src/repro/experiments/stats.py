@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro import cache
 from repro.core.report import render_table
 from repro.experiments.common import (
     DEFAULT_SCALE,
@@ -51,7 +52,7 @@ def run(
 ) -> StatsResult:
     """Regenerate this experiment; see the module docstring for the paper reference."""
     pipeline = get_pipeline(seed, scale, workload)
-    trace_stats = pipeline.mix.tracer.stats
+    trace_stats = cache.trace_stats(pipeline.mix)
     return StatsResult(
         trace={
             "total": trace_stats.total_events,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro import cache
 from repro.experiments import common as experiments_common
 
 #: field -> (coercer, default); a default of ``_REQUIRED`` must be given.
@@ -288,7 +289,7 @@ def _run_stats(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.experiments.stats import StatsResult
 
     pipeline = _pipeline(params)
-    trace_stats = pipeline.mix.tracer.stats
+    trace_stats = cache.trace_stats(pipeline.mix)
     trace = {
         "total": trace_stats.total_events,
         "lock_ops": trace_stats.lock_ops,

@@ -358,81 +358,127 @@ def _decode_text(line: str) -> Event:
 # ----------------------------------------------------------------------
 # Binary format
 # ----------------------------------------------------------------------
-
-_HDR = struct.Struct("<BQI")  # tag, ts, ctx_id
-
-
-def _read_exact(fp: BinaryIO, count: int) -> bytes:
-    data = fp.read(count)
-    if len(data) != count:
-        raise _ShortRead(f"wanted {count} bytes, got {len(data)}")
-    return data
-
-
-def _pack_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
-
-
-def _unpack_str(fp: BinaryIO) -> str:
-    (length,) = struct.unpack("<H", _read_exact(fp, 2))
-    return _read_exact(fp, length).decode("utf-8")
-
+#
+# After the magic come the stack table (u32 stack count; per stack a u16
+# frame count, then per frame fn, file and a u32 line) and the u64
+# event count, then one record per event: u8 tag, u64 ts, u32 ctx_id
+# and the kind's fields.  Integers are little-endian; a string is a u16
+# byte length plus that many UTF-8 bytes.
+#
+#   alloc   u64 alloc_id, u64 address, u32 size, data_type, subclass
+#   free    u64 alloc_id, u64 address
+#   access  u64 address, u32 size, u64 stack_id, file, u32 line
+#   lock    u64 lock_id, u8 has_address, u64 address, lock_class,
+#           lock_name, mode, u64 stack_id, file, u32 line
 
 _TAG_ALLOC, _TAG_FREE, _TAG_READ, _TAG_WRITE, _TAG_ACQ, _TAG_REL = range(6)
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
+# The header and fixed fields of each record kind, fused into one struct.
+# The decoder's ``*_HEAD`` variants also take the length prefix of the
+# string that follows, so a record costs one unpack per string.
+_ALLOC_FIXED = struct.Struct("<BQIQQI")
+_FREE_FIXED = struct.Struct("<BQIQQ")
+_ACCESS_FIXED = struct.Struct("<BQIQIQ")
+_LOCK_FIXED = struct.Struct("<BQIQBQ")
+_ALLOC_HEAD = struct.Struct("<BQIQQIH")
+_ACCESS_HEAD = struct.Struct("<BQIQIQH")
+_LOCK_HEAD = struct.Struct("<BQIQBQH")
+_STACK_ID_HEAD = struct.Struct("<QH")  # a lock's stack_id, then file's length
+
+#: The fields after each kind's 13-byte header, in file order: a number
+#: is a fixed-width read of that many bytes, ``None`` a string.
+_RECORD_FIELDS = {
+    _TAG_ALLOC: (20, None, None),
+    _TAG_FREE: (16,),
+    _TAG_READ: (20, None, 4),
+    _TAG_WRITE: (20, None, 4),
+    _TAG_ACQ: (17, None, None, None, 8, None, 4),
+    _TAG_REL: (17, None, None, None, 8, None, 4),
+}
+_HEADER_SIZE = 13
+
+#: Bytes per read (decoder) and per write (encoder).
+_WINDOW = 256 * 1024
+
+
+class _EncodedStrings(dict):
+    """``str`` → its length-prefixed UTF-8 bytes, encoded once."""
+
+    def __missing__(self, value: str) -> bytes:
+        raw = value.encode("utf-8")
+        packed = self[value] = _U16.pack(len(raw)) + raw
+        return packed
 
 
 def write_binary(
     events: Sequence[Event], stacks: Sequence[StackFrames], fp: BinaryIO
 ) -> None:
     """Write an event stream and stack table in binary form."""
-    fp.write(_BIN_MAGIC)
-    fp.write(struct.pack("<I", len(stacks)))
+    text = _EncodedStrings()
+    out = bytearray(_BIN_MAGIC)
+    out += _U32.pack(len(stacks))
+    pack_u32 = _U32.pack
     for frames in stacks:
-        fp.write(struct.pack("<H", len(frames)))
+        out += _U16.pack(len(frames))
         for fn, file, line in frames:
-            fp.write(_pack_str(fn))
-            fp.write(_pack_str(file))
-            fp.write(struct.pack("<I", line))
-    fp.write(struct.pack("<Q", len(events)))
+            out += text[fn]
+            out += text[file]
+            out += pack_u32(line)
+    out += _U64.pack(len(events))
+
+    pack_alloc = _ALLOC_FIXED.pack
+    pack_free = _FREE_FIXED.pack
+    pack_access = _ACCESS_FIXED.pack
+    pack_lock = _LOCK_FIXED.pack
+    pack_u64 = _U64.pack
     for event in events:
-        _encode_binary(event, fp)
+        kind = type(event)
+        if kind is AccessEvent:
+            ts, ctx_id, address, size, is_write, stack_id, file, line = event
+            out += pack_access(
+                _TAG_WRITE if is_write else _TAG_READ,
+                ts, ctx_id, address, size, stack_id,
+            )
+            out += text[file]
+            out += pack_u32(line)
+        elif kind is LockEvent:
+            (ts, ctx_id, lock_id, lock_class, lock_name, address,
+             is_acquire, mode, stack_id, file, line) = event
+            out += pack_lock(
+                _TAG_ACQ if is_acquire else _TAG_REL, ts, ctx_id, lock_id,
+                0 if address is None else 1,
+                0 if address is None else address,
+            )
+            out += text[lock_class]
+            out += text[lock_name]
+            out += text[mode]
+            out += pack_u64(stack_id)
+            out += text[file]
+            out += pack_u32(line)
+        elif kind is AllocEvent:
+            ts, ctx_id, alloc_id, address, size, data_type, subclass = event
+            out += pack_alloc(_TAG_ALLOC, ts, ctx_id, alloc_id, address, size)
+            out += text[data_type]
+            out += text[subclass or _NONE_SUBCLASS]
+        elif kind is FreeEvent:
+            ts, ctx_id, alloc_id, address = event
+            out += pack_free(_TAG_FREE, ts, ctx_id, alloc_id, address)
+        else:
+            fp.write(out)
+            raise TraceFormatError(f"unknown event type {kind.__name__}")
+        if len(out) >= _WINDOW:
+            fp.write(out)
+            del out[:]
+    fp.write(out)
 
 
 def dump_binary(tracer: Tracer, fp: BinaryIO) -> None:
     """Write the tracer's events and stack table in binary form."""
     write_binary(tracer.events, stacks_of(tracer), fp)
-
-
-def _encode_binary(event: Event, fp: BinaryIO) -> None:
-    if isinstance(event, AllocEvent):
-        fp.write(_HDR.pack(_TAG_ALLOC, event.ts, event.ctx_id))
-        fp.write(struct.pack("<QQI", event.alloc_id, event.address, event.size))
-        fp.write(_pack_str(event.data_type))
-        fp.write(_pack_str(event.subclass or _NONE_SUBCLASS))
-    elif isinstance(event, FreeEvent):
-        fp.write(_HDR.pack(_TAG_FREE, event.ts, event.ctx_id))
-        fp.write(struct.pack("<QQ", event.alloc_id, event.address))
-    elif isinstance(event, AccessEvent):
-        tag = _TAG_WRITE if event.is_write else _TAG_READ
-        fp.write(_HDR.pack(tag, event.ts, event.ctx_id))
-        fp.write(struct.pack("<QIQ", event.address, event.size, event.stack_id))
-        fp.write(_pack_str(event.file))
-        fp.write(struct.pack("<I", event.line))
-    elif isinstance(event, LockEvent):
-        tag = _TAG_ACQ if event.is_acquire else _TAG_REL
-        fp.write(_HDR.pack(tag, event.ts, event.ctx_id))
-        address = event.address if event.address is not None else 0
-        has_address = 1 if event.address is not None else 0
-        fp.write(struct.pack("<QBQ", event.lock_id, has_address, address))
-        fp.write(_pack_str(event.lock_class))
-        fp.write(_pack_str(event.lock_name))
-        fp.write(_pack_str(event.mode))
-        fp.write(struct.pack("<Q", event.stack_id))
-        fp.write(_pack_str(event.file))
-        fp.write(struct.pack("<I", event.line))
-    else:
-        raise TraceFormatError(f"unknown event type {type(event).__name__}")
 
 
 def load_binary(fp: BinaryIO) -> Tuple[List[Event], List[StackFrames]]:
@@ -452,21 +498,254 @@ def load_binary_lenient(fp: BinaryIO) -> LoadReport:
 _DECODE_ERRORS = (_ShortRead, struct.error, UnicodeDecodeError, ValueError)
 
 
-def _read_stack_table(fp: BinaryIO) -> Tuple[List[StackFrames], int]:
-    """Read the stack table and the declared event count (post-magic)."""
+class _Strings(dict):
+    """Per-stream interning: encoded bytes → decoded ``str``.
+
+    A trace repeats a few hundred file, lock and type names hundreds of
+    thousands of times; each distinct one is decoded and stored once.
+    """
+
+    def __missing__(self, raw: bytes) -> str:
+        value = self[raw] = raw.decode("utf-8")
+        return value
+
+
+class _Torn(Exception):
+    """Internal: decoding stopped at ``offset`` because of ``cause``."""
+
+    def __init__(self, offset: int, cause: Exception) -> None:
+        super().__init__(offset, cause)
+        self.offset = offset
+        self.cause = cause
+
+
+class _Window:
+    """The unread part of a binary trace, fetched in fixed-size reads.
+
+    ``buf[pos:]`` is unread; ``base`` is the file offset of ``buf[0]``.
+    """
+
+    __slots__ = ("fp", "buf", "pos", "base")
+
+    def __init__(self, fp: BinaryIO) -> None:
+        self.fp = fp
+        self.buf = b""
+        self.pos = 0
+        self.base = fp.tell()
+
+    def fill(self, need: int) -> bool:
+        """Make *need* unread bytes available; False if the file ends
+        first.  Bytes before ``pos`` are dropped."""
+        unread = len(self.buf) - self.pos
+        while unread < need:
+            # Reading at least as much as is buffered keeps a long
+            # accumulation (a record bigger than the window) linear.
+            more = self.fp.read(max(_WINDOW, need - unread, unread))
+            if not more:
+                return False
+            self.base += self.pos
+            self.buf = self.buf[self.pos:] + more
+            self.pos = 0
+            unread = len(self.buf)
+        return True
+
+
+class _Fields:
+    """Field-by-field reads from a window's position, which stays put.
+
+    This is the format's reference reading order: a short read raises
+    :class:`_ShortRead` with the same text a file read would, so the
+    error path reports exactly where and why a record tore.
+    """
+
+    __slots__ = ("win", "strings", "used")
+
+    def __init__(self, win: _Window, strings: _Strings) -> None:
+        self.win = win
+        self.strings = strings
+        self.used = 0
+
+    def take(self, count: int) -> bytes:
+        win = self.win
+        if not win.fill(self.used + count):
+            got = len(win.buf) - win.pos - self.used
+            self.used += got
+            raise _ShortRead(f"wanted {count} bytes, got {got}")
+        start = win.pos + self.used
+        self.used += count
+        return win.buf[start:start + count]
+
+    def text(self) -> str:
+        (length,) = _U16.unpack(self.take(2))
+        return self.strings[self.take(length)]
+
+    def tell(self) -> int:
+        return self.win.base + self.win.pos + self.used
+
+
+def _read_stack_table(
+    win: _Window, strings: _Strings
+) -> Tuple[List[StackFrames], int]:
+    """Read the stack table and the declared event count (post-magic).
+
+    A defect raises :class:`_Torn` at the offset the read stopped at.
+    """
+    fields = _Fields(win, strings)
+    take, text = fields.take, fields.text
     stacks: List[StackFrames] = []
-    (stack_count,) = struct.unpack("<I", _read_exact(fp, 4))
-    for _ in range(stack_count):
-        (frame_count,) = struct.unpack("<H", _read_exact(fp, 2))
-        frames = []
-        for _ in range(frame_count):
-            fn = _unpack_str(fp)
-            file = _unpack_str(fp)
-            (line,) = struct.unpack("<I", _read_exact(fp, 4))
-            frames.append((fn, file, line))
-        stacks.append(tuple(frames))
-    (event_count,) = struct.unpack("<Q", _read_exact(fp, 8))
+    try:
+        (stack_count,) = _U32.unpack(take(4))
+        for _ in range(stack_count):
+            (frame_count,) = _U16.unpack(take(2))
+            frames = []
+            for _ in range(frame_count):
+                fn = text()
+                file = text()
+                (line,) = _U32.unpack(take(4))
+                frames.append((fn, file, line))
+            stacks.append(tuple(frames))
+        (event_count,) = _U64.unpack(take(8))
+    except _DECODE_ERRORS as exc:
+        raise _Torn(fields.tell(), exc) from exc
+    win.pos += fields.used
     return stacks, event_count
+
+
+def _record_fault(win: _Window, strings: _Strings) -> Optional[Exception]:
+    """Re-read the record at the window's position field by field and
+    return the exception that stops it, or None if it is whole (it only
+    straddled the end of the buffered bytes, which now hold it)."""
+    fields = _Fields(win, strings)
+    try:
+        tag = fields.take(_HEADER_SIZE)[0]
+        layout = _RECORD_FIELDS.get(tag)
+        if layout is None:
+            return TraceFormatError(f"unknown binary tag {tag}")
+        for width in layout:
+            if width is None:
+                fields.text()
+            else:
+                fields.take(width)
+    except _DECODE_ERRORS as exc:
+        return exc
+    return None
+
+
+class _Miss(Exception):
+    """Internal: the fast path cannot decode the record as buffered."""
+
+
+#: What the fast path raises when a record is torn, corrupt or only
+#: partly buffered; :func:`_record_fault` then tells these apart.
+_FAST_MISSES = (struct.error, IndexError, UnicodeDecodeError, _Miss)
+
+
+def _decode_events(
+    win: _Window, count: int, strings: _Strings
+) -> Iterator[Event]:
+    """Decode *count* records from *win*, lazily.
+
+    Each record is parsed straight out of the buffered window with the
+    fused structs.  A record the window holds only part of sends the
+    reader to :func:`_record_fault`, which refills the window: a whole
+    record is then retried, a torn or corrupt one raises :class:`_Torn`
+    with the reason a field-by-field read gives.
+    """
+    new = tuple.__new__
+    alloc_head = _ALLOC_HEAD.unpack_from
+    free_fixed = _FREE_FIXED.unpack_from
+    access_head = _ACCESS_HEAD.unpack_from
+    lock_head = _LOCK_HEAD.unpack_from
+    stack_id_head = _STACK_ID_HEAD.unpack_from
+    u16 = _U16.unpack_from
+    u32 = _U32.unpack_from
+    read, write, acquire, release = _TAG_READ, _TAG_WRITE, _TAG_ACQ, _TAG_REL
+    alloc, free = _TAG_ALLOC, _TAG_FREE
+    alloc_size, free_size = _ALLOC_HEAD.size, _FREE_FIXED.size
+    access_size, lock_size = _ACCESS_HEAD.size, _LOCK_HEAD.size
+    stack_id_size = _STACK_ID_HEAD.size
+    buf = win.buf
+    pos = win.pos
+    retried = -1
+    for _ in range(count):
+        while True:
+            try:
+                tag = buf[pos]
+                if tag == read or tag == write:
+                    (_, ts, ctx_id, address, size, stack_id,
+                     length) = access_head(buf, pos)
+                    at = pos + access_size
+                    end = at + length
+                    file = strings[buf[at:end]]
+                    (line,) = u32(buf, end)
+                    pos = end + 4
+                    event = new(AccessEvent, (
+                        ts, ctx_id, address, size, tag == write,
+                        stack_id, file, line,
+                    ))
+                elif tag == acquire or tag == release:
+                    (_, ts, ctx_id, lock_id, has_address, address,
+                     length) = lock_head(buf, pos)
+                    at = pos + lock_size
+                    end = at + length
+                    lock_class = strings[buf[at:end]]
+                    (length,) = u16(buf, end)
+                    at = end + 2
+                    end = at + length
+                    lock_name = strings[buf[at:end]]
+                    (length,) = u16(buf, end)
+                    at = end + 2
+                    end = at + length
+                    mode = strings[buf[at:end]]
+                    stack_id, length = stack_id_head(buf, end)
+                    at = end + stack_id_size
+                    end = at + length
+                    file = strings[buf[at:end]]
+                    (line,) = u32(buf, end)
+                    pos = end + 4
+                    event = new(LockEvent, (
+                        ts, ctx_id, lock_id, lock_class, lock_name,
+                        address if has_address else None,
+                        tag == acquire, mode, stack_id, file, line,
+                    ))
+                elif tag == alloc:
+                    (_, ts, ctx_id, alloc_id, address, size,
+                     length) = alloc_head(buf, pos)
+                    at = pos + alloc_size
+                    end = at + length
+                    data_type = strings[buf[at:end]]
+                    (length,) = u16(buf, end)
+                    at = end + 2
+                    end = at + length
+                    if end > len(buf):
+                        raise _Miss
+                    subclass = strings[buf[at:end]]
+                    pos = end
+                    event = new(AllocEvent, (
+                        ts, ctx_id, alloc_id, address, size, data_type,
+                        None if subclass == _NONE_SUBCLASS else subclass,
+                    ))
+                elif tag == free:
+                    _, ts, ctx_id, alloc_id, address = free_fixed(buf, pos)
+                    pos += free_size
+                    event = new(FreeEvent, (ts, ctx_id, alloc_id, address))
+                else:
+                    raise _Miss
+                break
+            except _FAST_MISSES:
+                win.pos = pos
+                cause = _record_fault(win, strings)
+                offset = win.base + win.pos
+                if cause is not None:
+                    raise _Torn(offset, cause) from cause
+                if offset == retried:
+                    raise AssertionError(
+                        f"offset {offset:#x}: fast and field decoders disagree"
+                    )
+                retried = offset
+                buf = win.buf
+                pos = win.pos
+        yield event
 
 
 @dataclass
@@ -495,24 +774,24 @@ def open_binary_stream(fp: BinaryIO) -> BinaryTraceStream:
     if magic != _BIN_MAGIC:
         reason = "empty trace file" if magic == b"" else f"bad magic {magic!r}"
         raise TraceFormatError(f"offset 0x0: {reason}")
+    win = _Window(fp)
+    strings = _Strings()
     try:
-        stacks, event_count = _read_stack_table(fp)
-    except _DECODE_ERRORS as exc:
+        stacks, event_count = _read_stack_table(win, strings)
+    except _Torn as torn:
         raise TraceFormatError(
-            f"offset {fp.tell():#x}: corrupt stack table: {exc}"
-        ) from exc
+            f"offset {torn.offset:#x}: corrupt stack table: {torn.cause}"
+        ) from torn.cause
 
     def _iter_events() -> Iterator[Event]:
-        for _ in range(event_count):
-            start = fp.tell()
-            try:
-                yield _decode_binary(fp)
-            except TraceFormatError:
-                raise
-            except _DECODE_ERRORS as exc:
-                raise TraceFormatError(
-                    f"offset {start:#x}: torn record ({exc})"
-                ) from exc
+        try:
+            yield from _decode_events(win, event_count, strings)
+        except _Torn as torn:
+            if isinstance(torn.cause, TraceFormatError):
+                raise torn.cause from None
+            raise TraceFormatError(
+                f"offset {torn.offset:#x}: torn record ({torn.cause})"
+            ) from torn.cause
 
     return BinaryTraceStream(stacks, event_count, _iter_events())
 
@@ -533,87 +812,30 @@ def _load_binary(fp: BinaryIO, lenient: bool) -> LoadReport:
 
     # Stack table: its framing carries the events offset, so a defect
     # here is unrecoverable even in lenient mode.
+    win = _Window(fp)
+    strings = _Strings()
     try:
-        stacks, event_count = _read_stack_table(fp)
-        report.stacks.extend(stacks)
-    except _DECODE_ERRORS as exc:
-        problem(fp.tell(), f"corrupt stack table: {exc}")
+        stacks, event_count = _read_stack_table(win, strings)
+    except _Torn as torn:
+        problem(torn.offset, f"corrupt stack table: {torn.cause}")
         return report
+    report.stacks.extend(stacks)
     report.declared_events = event_count
 
     # Events are length-prefixed with no sync marker: a torn record
     # loses framing, so lenient mode keeps the clean prefix and stops.
-    for _ in range(event_count):
-        start = fp.tell()
-        try:
-            report.events.append(_decode_binary(fp))
-        except TraceFormatError as exc:
-            problem(start, str(exc))
-            break
-        except _DECODE_ERRORS as exc:
+    try:
+        report.events.extend(_decode_events(win, event_count, strings))
+    except _Torn as torn:
+        if isinstance(torn.cause, TraceFormatError):
+            problem(torn.offset, str(torn.cause))
+        else:
             problem(
-                start,
+                torn.offset,
                 f"torn record after {len(report.events)} of "
-                f"{event_count} events ({exc})",
+                f"{event_count} events ({torn.cause})",
             )
-            break
     return report
-
-
-def _decode_binary(fp: BinaryIO) -> Event:
-    tag, ts, ctx_id = _HDR.unpack(_read_exact(fp, _HDR.size))
-    if tag == _TAG_ALLOC:
-        alloc_id, address, size = struct.unpack("<QQI", _read_exact(fp, 20))
-        data_type = _unpack_str(fp)
-        subclass = _unpack_str(fp)
-        return AllocEvent(
-            ts=ts,
-            ctx_id=ctx_id,
-            alloc_id=alloc_id,
-            address=address,
-            size=size,
-            data_type=data_type,
-            subclass=None if subclass == _NONE_SUBCLASS else subclass,
-        )
-    if tag == _TAG_FREE:
-        alloc_id, address = struct.unpack("<QQ", _read_exact(fp, 16))
-        return FreeEvent(ts=ts, ctx_id=ctx_id, alloc_id=alloc_id, address=address)
-    if tag in (_TAG_READ, _TAG_WRITE):
-        address, size, stack_id = struct.unpack("<QIQ", _read_exact(fp, 20))
-        file = _unpack_str(fp)
-        (line,) = struct.unpack("<I", _read_exact(fp, 4))
-        return AccessEvent(
-            ts=ts,
-            ctx_id=ctx_id,
-            address=address,
-            size=size,
-            is_write=(tag == _TAG_WRITE),
-            stack_id=stack_id,
-            file=file,
-            line=line,
-        )
-    if tag in (_TAG_ACQ, _TAG_REL):
-        lock_id, has_address, address = struct.unpack("<QBQ", _read_exact(fp, 17))
-        lock_class = _unpack_str(fp)
-        lock_name = _unpack_str(fp)
-        mode = _unpack_str(fp)
-        (stack_id,) = struct.unpack("<Q", _read_exact(fp, 8))
-        file = _unpack_str(fp)
-        (line,) = struct.unpack("<I", _read_exact(fp, 4))
-        return LockEvent(
-            ts=ts,
-            ctx_id=ctx_id,
-            lock_id=lock_id,
-            lock_class=lock_class,
-            lock_name=lock_name,
-            address=address if has_address else None,
-            is_acquire=(tag == _TAG_ACQ),
-            mode=mode,
-            stack_id=stack_id,
-            file=file,
-            line=line,
-        )
-    raise TraceFormatError(f"unknown binary tag {tag}")
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ disk tier alone).
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -284,3 +285,105 @@ class TestConcurrentChurn:
         assert not quarantined.exists()
         assert not orphan.exists()
         assert list(cache_dir.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# The trace sidecar's per-kind counts (``stats`` without a decode)
+# ----------------------------------------------------------------------
+
+
+def _meta_file(workload: str):
+    return cache.cache_dir() / f"{cache.trace_key(workload, 0, SCALE)}.meta.json"
+
+
+def _rewrite_meta(workload: str, edit) -> None:
+    path = _meta_file(workload)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+@pytest.mark.parametrize("workload", sorted(cache._CACHEABLE))
+def test_sidecar_counts_match_replayed_trace(cache_dir, workload):
+    cache.cached_run(workload, seed=0, scale=SCALE)
+    meta = json.loads(_meta_file(workload).read_text())
+    with open(cache.trace_path(workload, 0, SCALE), "rb") as fp:
+        replayed = cache.ReplayTracer(*load_binary(fp)).stats
+    assert [meta[name] for name in ("lock_ops", "accesses", "allocs", "frees")] == [
+        replayed.lock_ops, replayed.accesses, replayed.allocs, replayed.frees
+    ]
+    assert replayed.total_events == meta["events"]
+
+    hit = cache.cached_run(workload, seed=0, scale=SCALE)
+    assert isinstance(hit, cache.CachedRun)
+    assert cache.trace_stats(hit) == replayed
+    assert hit._tracer is None  # answered from the sidecar, never decoded
+
+
+def _drop_counts(meta):
+    for name in ("lock_ops", "accesses", "allocs", "frees"):
+        del meta[name]
+    return meta
+
+
+def _skew_counts(meta):
+    meta["frees"] += 1
+    return meta
+
+
+def _skew_bytes(meta):
+    meta["bytes"] += 1
+    return meta
+
+
+_UNTRUSTED_SIDECARS = {
+    "pre-change": _drop_counts,
+    "counts-do-not-sum": _skew_counts,
+    "size-mismatch": _skew_bytes,
+    "not-an-object": lambda meta: list(meta.items()),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_UNTRUSTED_SIDECARS) + ["missing"])
+def test_untrusted_sidecar_falls_back_to_decoding(cache_dir, damage):
+    from repro.serve import ops
+
+    params = {"workload": "mix", "seed": 0, "scale": SCALE}
+    live = ops.execute("stats", params)["text"]
+    common.clear_cache()
+    trusted = ops.execute("stats", params)["text"]
+    assert trusted == live
+
+    if damage == "missing":
+        _meta_file("mix").unlink()
+    else:
+        _rewrite_meta("mix", _UNTRUSTED_SIDECARS[damage])
+    hit = cache.cached_run("mix", seed=0, scale=SCALE)
+    assert isinstance(hit, cache.CachedRun)
+    assert hit.sidecar_stats() is None
+    assert cache.trace_stats(hit) == hit.tracer.stats
+
+    common.clear_cache()
+    assert ops.execute("stats", params)["text"] == live
+
+
+def test_sidecar_of_a_quarantined_entry_is_not_trusted(cache_dir):
+    cache.cached_run("mix", seed=0, scale=SCALE)
+    hit = cache.cached_run("mix", seed=0, scale=SCALE)
+    cache.trace_path("mix", 0, SCALE).write_bytes(b"LDOC1\n garbage")
+    assert hit.sidecar_stats() is None
+    assert cache.trace_stats(hit) == registry.run("mix", 0, SCALE).tracer.stats
+
+
+def test_recovery_sweep_accepts_and_quarantines_as_before(cache_dir):
+    from repro.serve import recovery
+
+    cache.cached_run("mix", seed=0, scale=SCALE)
+    report = recovery.sweep(cache_dir)
+    assert (report.scanned, report.ok, report.quarantined) == (2, 2, [])
+
+    path = cache.trace_path("mix", 0, SCALE)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-7])
+    report = recovery.sweep(cache_dir)
+    assert report.quarantined == [
+        (path.name, f"size {size - 7} != declared {size} (truncated)")
+    ]
