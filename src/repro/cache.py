@@ -38,6 +38,7 @@ ls / clear / path`` for management.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -435,11 +436,20 @@ def load_artifact(workload: str, seed: int, scale: float, name: str):
     path = _artifact_path(workload, seed, scale, name)
     if not path.exists():
         return None
+    # Unpickling allocates many containers but no garbage cycles, so
+    # the cyclic collector is paused: its collections would rescan the
+    # whole heap (in a daemon worker, the forked parent's too) for
+    # nothing.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "rb") as fp:
             return pickle.load(fp)
     except Exception:  # corrupt/stale entry: recompute
         return None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def store_artifact(workload: str, seed: int, scale: float, name: str, obj) -> None:

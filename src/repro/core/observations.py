@@ -11,21 +11,37 @@ locks.
 An :class:`Observation` is one ``(transaction, object, member)`` group:
 its access type after WoR, the abstract lock sequence in force, and the
 underlying access rows (kept for violation reporting).
+
+A table loaded from the cache's pickle keeps each target's
+observations packed as tuples until the first :meth:`ObservationTable.get`
+of that target: derivation and the documented-rule checker read only
+the per-target sequence counts, so they never pay for the rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.lockrefs import LockSeq
-from repro.db.database import TraceDatabase
+from repro.db.database import (
+    LockSeqTable,
+    PackedAccess,
+    TraceDatabase,
+    pack_accesses,
+    unpack_accesses,
+)
 from repro.db.filters import REASON_STALE_LOCK, REASON_SYNTHETIC_TXN
 from repro.db.schema import AccessRow
 
 #: Key identifying one derivation target.
 ObsKey = Tuple[str, str, str]  # (type_key, member, access_type)
+
+#: An :class:`Observation` as pickled: ``(txn_id, alloc_id,
+#: lockseq index, mixed, packed access rows)``.  Its target key supplies
+#: ``type_key``, ``member`` and ``access_type``.
+PackedObservation = Tuple[Optional[int], int, int, bool, List[PackedAccess]]
 
 READ = "r"
 WRITE = "w"
@@ -58,6 +74,10 @@ class ObservationTable:
         #: of the derivation hot path — never rescans raw observations.
         self._seq_counts: Dict[ObsKey, Counter] = defaultdict(Counter)
         self._sorted_seqs: Dict[ObsKey, List[Tuple[LockSeq, int]]] = {}
+        #: Targets of a loaded table not yet asked for by :meth:`get`,
+        #: and the lock-sequence table their packed rows index into.
+        self._packed: Dict[ObsKey, List[PackedObservation]] = {}
+        self._lockseqs: List[LockSeq] = []
         self.total = 0
         #: Accesses excluded because the importer quarantined their
         #: transaction (synthetic close) — rules are mined only over
@@ -146,20 +166,84 @@ class ObservationTable:
         self.total += 1
 
     # ------------------------------------------------------------------
-    # Queries
+    # Pickled layout (the cache's ``table-*`` artifacts)
     # ------------------------------------------------------------------
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # Extending the loaded sequence table keeps the indexes of
+        # still-packed targets valid.
+        seqs = LockSeqTable(self._lockseqs)
+        targets = []
+        for key, counts in self._seq_counts.items():
+            packed = self._packed.get(key)
+            if packed is None:
+                packed = [
+                    (obs.txn_id, obs.alloc_id, seqs.index(obs.lockseq),
+                     obs.mixed, pack_accesses(obs.accesses, seqs))
+                    for obs in self._by_key[key]
+                ]
+            targets.append((
+                key,
+                [(seqs.index(seq), count) for seq, count in counts.items()],
+                packed,
+            ))
+        return {
+            "split_subclasses": self.split_subclasses,
+            "write_over_read": self.write_over_read,
+            "total": self.total,
+            "synthetic_excluded": self.synthetic_excluded,
+            "lockseqs": seqs.seqs,
+            "targets": targets,
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__init__(state["split_subclasses"], state["write_over_read"])
+        self.total = state["total"]
+        self.synthetic_excluded = state["synthetic_excluded"]
+        seqs = self._lockseqs = state["lockseqs"]
+        for key, counts, packed in state["targets"]:
+            self._seq_counts[key] = Counter(
+                {seqs[index]: count for index, count in counts}
+            )
+            self._packed[key] = packed
+
+    def _decode(self, key: ObsKey) -> List[Observation]:
+        """Unpack one target's observations (first :meth:`get` of it)."""
+        type_key, member, access_type = key
+        seqs = self._lockseqs
+        observations = self._by_key[key] = [
+            Observation(
+                txn_id, alloc_id, type_key, member, access_type, seqs[seq],
+                tuple(unpack_accesses(rows, seqs)), mixed,
+            )
+            for txn_id, alloc_id, seq, mixed, rows in self._packed.pop(key)
+        ]
+        return observations
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    #
+    # Every target has at least one observation, so ``_seq_counts``
+    # lists every target whether or not its observations are packed.
+
     def keys(self) -> List[ObsKey]:
-        return sorted(self._by_key)
+        return sorted(self._seq_counts)
 
     def type_keys(self) -> List[str]:
-        return sorted({key[0] for key in self._by_key})
+        return sorted({key[0] for key in self._seq_counts})
 
     def members_of(self, type_key: str) -> List[str]:
-        return sorted({m for (tk, m, _) in self._by_key if tk == type_key})
+        return sorted({m for (tk, m, _) in self._seq_counts if tk == type_key})
 
     def get(self, type_key: str, member: str, access_type: str) -> List[Observation]:
-        return self._by_key.get((type_key, member, access_type), [])
+        key = (type_key, member, access_type)
+        observations = self._by_key.get(key)
+        if observations is None:
+            if key in self._packed:
+                return self._decode(key)
+            return []
+        return observations
 
     def sequences(
         self, type_key: str, member: str, access_type: str
@@ -180,7 +264,7 @@ class ObservationTable:
         return cached
 
     def observation_count(self, type_key: str, member: str, access_type: str) -> int:
-        return len(self.get(type_key, member, access_type))
+        return sum(self._seq_counts.get((type_key, member, access_type), {}).values())
 
     # ------------------------------------------------------------------
     # Base-type (subclass-merging) queries

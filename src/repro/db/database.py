@@ -8,12 +8,76 @@ laptop-scale Python run fits comfortably in memory.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import fields
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.db.schema import AccessRow, AllocationRow, LockRow, TxnRow
+from repro.core.lockrefs import LockSeq
+from repro.db.schema import AccessRow, AllocationRow, HeldLock, LockRow, TxnRow
 from repro.kernel.structs import StructRegistry
 
 StackFrames = Tuple[Tuple[str, str, int], ...]
+
+#: An :class:`AccessRow` as a positional tuple: its fields in
+#: constructor order, with ``lockseq`` (the second-to-last field)
+#: replaced by the sequence's index in a :class:`LockSeqTable`.
+PackedAccess = Tuple[Any, ...]
+
+
+def _field_getter(row_type) -> attrgetter:
+    """All of a row dataclass's fields as one tuple, in constructor order."""
+    return attrgetter(*(field.name for field in fields(row_type)))
+
+
+# Everything up to ``lockseq``; ``filter_reason`` is the last field.
+_access_head = attrgetter(*(field.name for field in fields(AccessRow)[:-2]))
+_allocation_fields = _field_getter(AllocationRow)
+_lock_fields = _field_getter(LockRow)
+_held_fields = _field_getter(HeldLock)
+
+
+class LockSeqTable:
+    """Interns lock sequences for a pickled state.
+
+    A trace has a few dozen distinct lock sequences but thousands of
+    rows carrying them, so packed rows refer to a sequence by its
+    position in :attr:`seqs`.  Lookups go by object identity first
+    (rows resolved under one held set share one tuple), then by value.
+    """
+
+    def __init__(self, seqs: Iterable[LockSeq] = ()) -> None:
+        self.seqs: List[LockSeq] = list(seqs)
+        self._by_value: Dict[LockSeq, int] = {
+            seq: index for index, seq in enumerate(self.seqs)
+        }
+        self._by_id: Dict[int, int] = {}
+
+    def index(self, seq: LockSeq) -> int:
+        index = self._by_id.get(id(seq))
+        if index is None:
+            index = self._by_value.get(seq)
+            if index is None:
+                index = self._by_value[seq] = len(self.seqs)
+                self.seqs.append(seq)
+            # The caller's rows keep *seq* alive while the table is used.
+            self._by_id[id(seq)] = index
+        return index
+
+
+def pack_accesses(
+    rows: Iterable[AccessRow], seqs: LockSeqTable
+) -> List[PackedAccess]:
+    index = seqs.index
+    return [
+        _access_head(row) + (index(row.lockseq), row.filter_reason)
+        for row in rows
+    ]
+
+
+def unpack_accesses(
+    packed: Iterable[PackedAccess], seqs: Sequence[LockSeq]
+) -> List[AccessRow]:
+    return [AccessRow(*row[:-2], seqs[row[-2]], row[-1]) for row in packed]
 
 
 class TraceDatabase:
@@ -34,6 +98,85 @@ class TraceDatabase:
         #: Every row (kept or not) per context, in table order: the
         #: span repairs touch one context's rows, not the whole table.
         self._accesses_by_ctx: Dict[int, List[AccessRow]] = defaultdict(list)
+
+    # ------------------------------------------------------------------
+    # Pickled layout (the cache's ``db`` artifact)
+    # ------------------------------------------------------------------
+    #
+    # Rows pickle as positional tuples, lock sequences once each in an
+    # interned table, and the three indexes as row positions in key
+    # order, so the state holds no per-row attribute dicts.  Loading
+    # rebuilds every index list from the very row objects in
+    # ``accesses``; keys whose lists repairs emptied, and the key
+    # order, survive as they were.
+
+    def __getstate__(self) -> Dict[str, Any]:
+        seqs = LockSeqTable()
+        position = {id(row): index for index, row in enumerate(self.accesses)}
+        where = position.__getitem__
+
+        def positions(index: Dict[Any, List[AccessRow]]):
+            return [
+                (key, list(map(where, map(id, rows))))
+                for key, rows in index.items()
+            ]
+
+        return {
+            "structs": self.structs,
+            "allocations": list(
+                map(_allocation_fields, self.allocations.values())
+            ),
+            "locks": list(map(_lock_fields, self.locks.values())),
+            "txns": [
+                (row.txn_id, row.ctx_id, row.start_ts, row.end_ts,
+                 tuple(map(_held_fields, row.held)),
+                 row.no_locks, row.synthetic_close)
+                for row in self.txns.values()
+            ],
+            "accesses": pack_accesses(self.accesses, seqs),
+            "lockseqs": seqs.seqs,
+            "stack_table": self.stack_table,
+            "health": self.health,
+            "by_type": positions(self._accesses_by_type),
+            "by_txn": positions(self._accesses_by_txn),
+            "by_ctx": positions(self._accesses_by_ctx),
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.structs = state["structs"]
+        self.allocations = {
+            values[0]: AllocationRow(*values) for values in state["allocations"]
+        }
+        self.locks = {values[0]: LockRow(*values) for values in state["locks"]}
+        # Held sets repeat across transactions; share one tuple each.
+        held_sets: Dict[tuple, Tuple[HeldLock, ...]] = {}
+        self.txns = {}
+        for txn_id, ctx_id, start_ts, end_ts, pairs, no_locks, synthetic in (
+            state["txns"]
+        ):
+            held = held_sets.get(pairs)
+            if held is None:
+                held = held_sets[pairs] = tuple(
+                    HeldLock(lock_id, mode) for lock_id, mode in pairs
+                )
+            self.txns[txn_id] = TxnRow(
+                txn_id, ctx_id, start_ts, end_ts, held, no_locks, synthetic
+            )
+        rows = self.accesses = unpack_accesses(
+            state["accesses"], state["lockseqs"]
+        )
+        self.stack_table = state["stack_table"]
+        self.health = state["health"]
+
+        def index(entries) -> Dict[Any, List[AccessRow]]:
+            rebuilt: Dict[Any, List[AccessRow]] = defaultdict(list)
+            for key, positions in entries:
+                rebuilt[key] = list(map(rows.__getitem__, positions))
+            return rebuilt
+
+        self._accesses_by_type = index(state["by_type"])
+        self._accesses_by_txn = index(state["by_txn"])
+        self._accesses_by_ctx = index(state["by_ctx"])
 
     # ------------------------------------------------------------------
     # Population (importer API)
@@ -159,6 +302,11 @@ class TraceDatabase:
     # ------------------------------------------------------------------
     # Statistics (the Sec. 7.2 numbers)
     # ------------------------------------------------------------------
+
+    def summary(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``(stats(), filtered_counts())``: everything ``stats`` reports
+        about the database (the cache's small ``db-stats`` artifact)."""
+        return self.stats(), self.filtered_counts()
 
     def stats(self) -> Dict[str, int]:
         static_locks = sum(1 for l in self.locks.values() if l.is_static)

@@ -438,6 +438,41 @@ class SqliteTraceStore:
     def counts(self) -> Dict[str, int]:
         return table_counts(self.connection)
 
+    def summary(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """:meth:`TraceDatabase.summary` straight from the store: same
+        keys, same values, no reconstruction."""
+
+        def one(sql: str) -> int:
+            return int(self.connection.execute(sql).fetchone()[0])
+
+        db_stats = {
+            "allocations": one("SELECT COUNT(*) FROM allocations"),
+            "frees": one(
+                "SELECT COUNT(*) FROM allocations WHERE free_ts IS NOT NULL"
+            ),
+            "locks": one("SELECT COUNT(*) FROM locks"),
+            "static_locks": one(
+                "SELECT COUNT(*) FROM locks WHERE is_static != 0"
+            ),
+            "embedded_locks": one(
+                "SELECT COUNT(*) FROM locks WHERE is_static = 0"
+            ),
+            "txns": one("SELECT COUNT(*) FROM txns"),
+            "accesses": one("SELECT COUNT(*) FROM accesses"),
+            "kept_accesses": one(
+                "SELECT COUNT(*) FROM accesses WHERE filter_reason IS NULL"
+            ),
+            "stacks": max(int(self.meta.get("stack_count", "1")), 1),
+        }
+        filtered = {
+            reason: int(count)
+            for reason, count in self.connection.execute(
+                "SELECT filter_reason, COUNT(*) FROM accesses "
+                "WHERE filter_reason IS NOT NULL GROUP BY filter_reason"
+            )
+        }
+        return db_stats, filtered
+
     def lockseq_table(self) -> List[LockSeq]:
         """All interned lock sequences, indexed by ``lockseq_id``."""
         if self._seq_table is None:

@@ -15,10 +15,11 @@ are cached at two levels:
   a second ``lockdoc derive`` run skips both the simulation and the
   (dominant) database import.
 
-Pipeline artifacts are **lazy**: ``db``/``table``/``merged_table``
-compute on first access — from a disk artifact when one exists, from
-the run result otherwise — so a consumer that needs only the split
-table (``derive``) never loads the much larger database.
+Pipeline artifacts are **lazy**: ``db``/``db_stats``/``table``/
+``merged_table`` compute on first access — from a disk artifact when
+one exists, from the run result otherwise — so a consumer that needs
+only the split table (``derive``) or the database counts (``stats``)
+never loads the much larger database.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class Pipeline:
         self._db: Optional[TraceDatabase] = None
         self._table: Optional[ObservationTable] = None
         self._merged_table: Optional[ObservationTable] = None
+        self._db_stats: Optional[Tuple[Dict[str, int], Dict[str, int]]] = None
         self._derivations: Dict[float, DerivationResult] = {}
         self._store = None
         #: Separate memo for sqlite-backed derivations: sharing the
@@ -105,6 +107,17 @@ class Pipeline:
         if self._db is None:
             self._db = self._artifact("db", self.mix.to_database)
         return self._db
+
+    @property
+    def db_stats(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``(db.stats(), db.filtered_counts())``, from the small
+        ``db-stats`` artifact when cached: ``stats`` never loads the
+        database for two dicts of counts."""
+        if self._db_stats is None:
+            self._db_stats = self._artifact(
+                "db-stats", lambda: self.db.summary()
+            )
+        return self._db_stats
 
     @property
     def table(self) -> ObservationTable:

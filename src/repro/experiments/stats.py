@@ -17,9 +17,11 @@ from typing import Dict
 from repro import cache
 from repro.core.report import render_table
 from repro.experiments.common import (
+    DEFAULT_BACKEND,
     DEFAULT_SCALE,
     DEFAULT_SEED,
     DEFAULT_WORKLOAD,
+    Pipeline,
     get_pipeline,
 )
 
@@ -45,14 +47,19 @@ class StatsResult:
         return render_table(["metric", "value"], rows, title="Sec. 7.2 — trace statistics")
 
 
-def run(
-    seed: int = DEFAULT_SEED,
-    scale: float = DEFAULT_SCALE,
-    workload: str = DEFAULT_WORKLOAD,
-) -> StatsResult:
-    """Regenerate this experiment; see the module docstring for the paper reference."""
-    pipeline = get_pipeline(seed, scale, workload)
+def collect(pipeline: Pipeline, backend: str = DEFAULT_BACKEND) -> StatsResult:
+    """The statistics of *pipeline*'s run, read from *backend*.
+
+    The trace counts come from the trace sidecar when it is trusted
+    (:func:`repro.cache.trace_stats`); the database figures from the
+    SQLite store, or from the pipeline's ``db-stats`` artifact, which
+    spares a warm run loading the whole database.
+    """
     trace_stats = cache.trace_stats(pipeline.mix)
+    if backend == "sqlite":
+        db, filtered = pipeline.store().summary()
+    else:
+        db, filtered = pipeline.db_stats
     return StatsResult(
         trace={
             "total": trace_stats.total_events,
@@ -61,6 +68,15 @@ def run(
             "allocs": trace_stats.allocs,
             "frees": trace_stats.frees,
         },
-        db=pipeline.db.stats(),
-        filtered=pipeline.db.filtered_counts(),
+        db=db,
+        filtered=filtered,
     )
+
+
+def run(
+    seed: int = DEFAULT_SEED,
+    scale: float = DEFAULT_SCALE,
+    workload: str = DEFAULT_WORKLOAD,
+) -> StatsResult:
+    """Regenerate this experiment; see the module docstring for the paper reference."""
+    return collect(get_pipeline(seed, scale, workload))

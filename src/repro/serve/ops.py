@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro import cache
 from repro.experiments import common as experiments_common
 
 #: field -> (coercer, default); a default of ``_REQUIRED`` must be given.
@@ -286,58 +285,10 @@ def _racer_store_database(result):
 
 
 def _run_stats(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.stats import StatsResult
+    from repro.experiments.stats import collect
 
-    pipeline = _pipeline(params)
-    trace_stats = cache.trace_stats(pipeline.mix)
-    trace = {
-        "total": trace_stats.total_events,
-        "lock_ops": trace_stats.lock_ops,
-        "accesses": trace_stats.accesses,
-        "allocs": trace_stats.allocs,
-        "frees": trace_stats.frees,
-    }
-    if params["backend"] == "sqlite":
-        db_stats, filtered = _sqlite_stats(pipeline.store())
-    else:
-        db_stats = pipeline.db.stats()
-        filtered = pipeline.db.filtered_counts()
-    result = StatsResult(trace=trace, db=db_stats, filtered=filtered)
+    result = collect(_pipeline(params), params["backend"])
     return {"text": result.render(), "exit_code": 0}
-
-
-def _sqlite_stats(store):
-    """``TraceDatabase.stats()``/``filtered_counts()`` straight from a
-    SQLite trace store — same keys, same values, no reconstruction."""
-
-    def one(sql: str) -> int:
-        return int(store.connection.execute(sql).fetchone()[0])
-
-    db_stats = {
-        "allocations": one("SELECT COUNT(*) FROM allocations"),
-        "frees": one(
-            "SELECT COUNT(*) FROM allocations WHERE free_ts IS NOT NULL"
-        ),
-        "locks": one("SELECT COUNT(*) FROM locks"),
-        "static_locks": one("SELECT COUNT(*) FROM locks WHERE is_static != 0"),
-        "embedded_locks": one(
-            "SELECT COUNT(*) FROM locks WHERE is_static = 0"
-        ),
-        "txns": one("SELECT COUNT(*) FROM txns"),
-        "accesses": one("SELECT COUNT(*) FROM accesses"),
-        "kept_accesses": one(
-            "SELECT COUNT(*) FROM accesses WHERE filter_reason IS NULL"
-        ),
-        "stacks": max(int(store.meta.get("stack_count", "1")), 1),
-    }
-    filtered = {
-        reason: int(count)
-        for reason, count in store.connection.execute(
-            "SELECT filter_reason, COUNT(*) FROM accesses "
-            "WHERE filter_reason IS NOT NULL GROUP BY filter_reason"
-        )
-    }
-    return db_stats, filtered
 
 
 def _run_health(params: Dict[str, Any]) -> Dict[str, Any]:

@@ -387,3 +387,96 @@ def test_recovery_sweep_accepts_and_quarantines_as_before(cache_dir):
     assert report.quarantined == [
         (path.name, f"size {size - 7} != declared {size} (truncated)")
     ]
+
+
+# ----------------------------------------------------------------------
+# Compact artifact tiers: a warm op loads and decodes only what it reads
+# ----------------------------------------------------------------------
+
+
+def _spy_decodes(table, monkeypatch):
+    """Record the targets whose observations *table* unpacks."""
+    decoded = []
+    unpack = table._decode
+
+    def spy(key):
+        decoded.append(key)
+        return unpack(key)
+
+    monkeypatch.setattr(table, "_decode", spy)
+    return decoded
+
+
+def test_loaded_table_decodes_only_the_targets_violations_read(
+    cache_dir, monkeypatch
+):
+    from repro.core.checker import check_rules
+    from repro.core.violations import ViolationFinder
+    from repro.doc.corpus import documented_rules
+
+    fresh = common.get_pipeline(0, SCALE)
+    derivation = fresh.derive()
+    expected_checks = check_rules(fresh.table, documented_rules())
+    expected = [v.format() for v in ViolationFinder(derivation, fresh.table).find()]
+    common.clear_cache()
+
+    table = common.get_pipeline(0, SCALE).table
+    assert table._packed, "the table should come from the cache artifact"
+    decoded = _spy_decodes(table, monkeypatch)
+    assert check_rules(table, documented_rules()) == expected_checks
+    assert decoded == []
+
+    found = ViolationFinder(derivation, table).find()
+    assert [v.format() for v in found] == expected
+    partial = {
+        (d.type_key, d.member, d.access_type)
+        for d in derivation.all()
+        if d.winner.s_r < 1.0
+    }
+    assert partial and len(partial) < len(table.keys())
+    assert sorted(decoded) == sorted(partial)
+
+
+def test_warm_stats_loads_the_db_summary_not_the_db(cache_dir, monkeypatch):
+    from repro.serve import ops
+
+    params = {"workload": "mix", "seed": 0, "scale": SCALE}
+    cold = ops.execute("stats", params)["text"]
+    common.clear_cache()
+    loaded = []
+    load = cache.load_artifact
+
+    def recording(workload, seed, scale, name):
+        loaded.append(name)
+        return load(workload, seed, scale, name)
+
+    monkeypatch.setattr(cache, "load_artifact", recording)
+    assert ops.execute("stats", params)["text"] == cold
+    assert loaded == ["db-stats"]
+
+
+@pytest.mark.parametrize("state", ("present", "absent", "corrupt"))
+def test_stats_text_is_one_path_whatever_the_db_stats_artifact(cache_dir, state):
+    from repro.experiments import stats
+    from repro.serve import ops
+
+    params = {"workload": "mix", "seed": 0, "scale": SCALE}
+    cache.set_enabled(False)
+    live = ops.execute("stats", params)["text"]
+    common.clear_cache()
+    cache.set_enabled(True)
+
+    ops.execute("stats", params)
+    artifact = cache._artifact_path("mix", 0, SCALE, "db-stats")
+    assert artifact.exists()
+    if state == "absent":
+        artifact.unlink()
+    elif state == "corrupt":
+        artifact.write_bytes(artifact.read_bytes()[:-1])
+    common.clear_cache()
+    assert ops.execute("stats", params)["text"] == live
+    common.clear_cache()
+    assert stats.run(0, SCALE, "mix").render() == live
+    # A missing or corrupt summary is recomputed and stored again.
+    db = registry.run("mix", seed=0, scale=SCALE).to_database()
+    assert cache.load_artifact("mix", 0, SCALE, "db-stats") == db.summary()
