@@ -3,8 +3,8 @@
 A cache tier pays for itself only if loading it is cheaper than
 recomputing it.  For one mix run per ``--scale`` this fills a private
 cache directory with every tier — trace, db, table-split, table-merged,
-derivation and db-stats — then reports per tier, as the minimum of
-``--repeat`` runs:
+derivation, db-stats and race-candidates — then reports per tier, as
+the minimum of ``--repeat`` runs:
 
 * ``bytes``: the tier's file size;
 * ``load``: reading the tier back (the trace is decoded, the rest are
@@ -12,9 +12,11 @@ derivation and db-stats — then reports per tier, as the minimum of
 * ``recompute``: rebuilding the tier from its input already in memory
   (trace: run the simulation; db: import the cached trace file; tables:
   fold the db; derivation: derive from the split table; db-stats:
-  summarize the db);
-* ``recompute+input``: the same plus loading that input from its own
-  tier, which is what a warm request without this tier would pay.
+  summarize the db; race-candidates: lockset and happens-before over
+  the events and the db);
+* ``recompute+input``: the same plus loading those inputs from their
+  own tiers, which is what a warm request without this tier would pay
+  (race-candidates: trace decode and db load).
 
 Run from the repository root::
 
@@ -31,6 +33,7 @@ from typing import Callable, Dict, List
 
 import repro.kernel  # noqa: F401  (must initialize before repro.tracing)
 from repro import cache
+from repro.analysis.racedetect import race_candidates
 from repro.core.derivator import Derivator
 from repro.core.observations import ObservationTable
 from repro.workloads import registry
@@ -40,6 +43,7 @@ SEED = 0
 THRESHOLD = 0.9
 TIERS = (
     "trace", "db", "table-split", "table-merged", "derivation", "db-stats",
+    "race-candidates",
 )
 
 
@@ -58,6 +62,7 @@ def measure(scale: float, repeat: int) -> List[Dict[str, object]]:
     run = cache.cached_run(WORKLOAD, SEED, scale)
     run = cache.cached_run(WORKLOAD, SEED, scale)  # the hit
     db = run.to_database()
+    events = cache.cached_run(WORKLOAD, SEED, scale).tracer.events
     split = ObservationTable.from_database(db, split_subclasses=True)
     merged = ObservationTable.from_database(db, split_subclasses=False)
     artifacts = {
@@ -66,6 +71,7 @@ def measure(scale: float, repeat: int) -> List[Dict[str, object]]:
         "table-merged": merged,
         "derivation": Derivator(THRESHOLD).derive(split),
         "db-stats": (db.stats(), db.filtered_counts()),
+        "race-candidates": race_candidates(events, db),
     }
     names = {"derivation": f"derivation-t{THRESHOLD!r}"}
     for tier, value in artifacts.items():
@@ -84,11 +90,15 @@ def measure(scale: float, repeat: int) -> List[Dict[str, object]]:
         "table-merged": lambda: ObservationTable.from_database(db, False),
         "derivation": lambda: Derivator(THRESHOLD).derive(split),
         "db-stats": lambda: (db.stats(), db.filtered_counts()),
+        "race-candidates": lambda: race_candidates(events, db),
     }
-    #: The tier each recompute reads (None: the simulation itself).
+    #: The tiers each recompute reads from disk.  The trace reads only
+    #: the simulation, and the db recompute streams the trace file
+    #: itself, so their input loads are already inside them.
     inputs = {
-        "trace": None, "db": "trace", "table-split": "db",
-        "table-merged": "db", "derivation": "table-split", "db-stats": "db",
+        "trace": (), "db": (), "table-split": ("db",),
+        "table-merged": ("db",), "derivation": ("table-split",),
+        "db-stats": ("db",), "race-candidates": ("trace", "db"),
     }
     loads = {tier: _best(load(tier), repeat) for tier in TIERS}
     rows = []
@@ -100,12 +110,7 @@ def measure(scale: float, repeat: int) -> List[Dict[str, object]]:
                 WORKLOAD, SEED, scale, names.get(tier, tier)
             )
         rebuilt = _best(recompute[tier], repeat)
-        source = inputs[tier]
-        # The db recompute streams the trace file itself, so its input
-        # load is already inside it.
-        with_input = rebuilt + (
-            loads[source] if source not in (None, "trace") else 0.0
-        )
+        with_input = rebuilt + sum(loads[source] for source in inputs[tier])
         rows.append({
             "scale": scale,
             "tier": tier,

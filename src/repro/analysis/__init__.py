@@ -14,7 +14,8 @@ substrate:
   program order plus lock release→acquire edges in the trace,
 * :mod:`repro.analysis.racedetect`  — the driver joining lockset
   candidates, happens-before, and LockDoc's derived winning rules into
-  classified race reports.
+  classified race reports (the first two in a threshold-independent
+  :class:`~repro.analysis.racedetect.RaceCandidates` record).
 
 The combination is strictly stronger than either side alone: the
 lockset pass finds members with no consistent lock, happens-before
@@ -26,11 +27,13 @@ the rest of the system follows.
 from repro.analysis.happens import AccessStamp, HappensBeforeIndex, happens_before
 from repro.analysis.lockset import LocksetResult, MemberState, run_lockset
 from repro.analysis.racedetect import (
+    RaceCandidates,
     RaceClass,
     RaceFinding,
     RaceReport,
     classify_candidates,
     detect_races,
+    race_candidates,
 )
 from repro.analysis.vectorclock import VectorClock
 
@@ -39,6 +42,7 @@ __all__ = [
     "HappensBeforeIndex",
     "LocksetResult",
     "MemberState",
+    "RaceCandidates",
     "RaceClass",
     "RaceFinding",
     "RaceReport",
@@ -46,5 +50,6 @@ __all__ = [
     "classify_candidates",
     "detect_races",
     "happens_before",
+    "race_candidates",
     "run_lockset",
 ]

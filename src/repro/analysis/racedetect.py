@@ -1,6 +1,7 @@
 """The race-detection driver: lockset × happens-before × derived rules.
 
-Pipeline per trace:
+Race detection runs in two halves.  The **trace-only half**,
+:func:`race_candidates`, depends on nothing but the trace:
 
 1. :func:`repro.analysis.lockset.run_lockset` yields the *candidates* —
    ``(allocation, member)`` pairs written from multiple contexts with no
@@ -8,10 +9,15 @@ Pipeline per trace:
 2. :class:`repro.analysis.happens.HappensBeforeIndex` stamps exactly the
    candidate accesses, and a per-context running-maxima sweep finds
    *unordered conflicting pairs* (write/write or read/write from
-   different contexts with no happens-before path),
-3. each candidate is joined with LockDoc's **derived winning rules**:
-   does any access in the group violate the rule the rest of the system
-   supports?
+   different contexts with no happens-before path).
+
+Its result, a :class:`RaceCandidates` record, holds the candidate
+tracks and one happens-before verdict per track; it does not depend on
+the acceptance threshold, so one cached copy serves every ``races``
+request for a trace.  The **rule half**, :meth:`RaceCandidates.classify`,
+joins each candidate with LockDoc's **derived winning rules**: does any
+access in the group violate the rule the rest of the system supports?
+:func:`detect_races` is exactly the two halves in sequence.
 
 The cross product classifies every candidate:
 
@@ -207,32 +213,122 @@ class RaceReport:
         return "\n".join(lines)
 
 
-def detect_races(
-    events: Sequence[Event],
-    db: TraceDatabase,
-    derivation: DerivationResult,
-    lockset: Optional[LocksetResult] = None,
-) -> RaceReport:
-    """Run the full race-detection pipeline over one trace.
+#: Happens-before verdict of one candidate track: the first unordered
+#: conflicting pair as row positions in ``track.accesses`` (None when
+#: every pair is ordered), and the number of detections.
+Verdict = Tuple[Optional[Tuple[int, int]], int]
+
+
+@dataclass
+class RaceCandidates:
+    """The trace-only half of race detection: everything
+    :meth:`classify` reads, and nothing that depends on the rules.
+
+    Lockset and happens-before depend only on the trace, so one record
+    serves every acceptance threshold; it is small (only the candidate
+    tracks' rows) and pickles as one cache artifact.
+    """
+
+    #: Candidate tracks in lockset sort order, with their rows.
+    candidates: List[MemberTrack]
+    #: One happens-before verdict per candidate, in the same order.
+    verdicts: List[Verdict]
+    tracked_members: int
+    #: Lockset state counts as ``{state.value: count}``.
+    state_counts: Dict[str, int]
+    synthetic_excluded: int = 0
+
+    @classmethod
+    def build(
+        cls,
+        lockset: LocksetResult,
+        hb: HappensBeforeIndex,
+        synthetic_excluded: int = 0,
+    ) -> "RaceCandidates":
+        """Judge every lockset candidate against *hb*, which must hold
+        a stamp for every access of every candidate track."""
+        return cls(
+            candidates=lockset.candidates,
+            verdicts=[
+                _first_unordered_pair(track, hb) for track in lockset.candidates
+            ],
+            tracked_members=len(lockset.tracks),
+            state_counts={
+                state.value: count
+                for state, count in lockset.state_counts().items()
+            },
+            synthetic_excluded=synthetic_excluded,
+        )
+
+    def classify(self, derivation: DerivationResult) -> RaceReport:
+        """Join the candidates with the derived rules of *derivation*."""
+        grouped: Dict[Tuple[RaceClass, str, str], RaceFinding] = {}
+        for track, (positions, pairs) in zip(self.candidates, self.verdicts):
+            violations = _violating_accesses(track, derivation)
+            if positions is not None:
+                race_class = (
+                    RaceClass.RULE_CONFIRMED_RACE
+                    if violations
+                    else RaceClass.LOCKSET_RACE
+                )
+                first, second = positions
+                pair = (track.accesses[first], track.accesses[second])
+            else:
+                race_class = (
+                    RaceClass.ORDERED_VIOLATION if violations else RaceClass.BENIGN
+                )
+                pair = None
+            key = (race_class, track.type_key, track.member)
+            finding = grouped.get(key)
+            if finding is None:
+                finding = RaceFinding(
+                    race_class=race_class,
+                    type_key=track.type_key,
+                    member=track.member,
+                )
+                grouped[key] = finding
+            _account(finding, track, derivation, pair, pairs, violations)
+
+        findings = sorted(
+            grouped.values(),
+            key=lambda f: (_SEVERITY[f.race_class], -f.events, f.type_key, f.member),
+        )
+        return RaceReport(
+            findings=findings,
+            tracked_members=self.tracked_members,
+            candidate_count=len(self.candidates),
+            state_counts=dict(self.state_counts),
+            synthetic_excluded=self.synthetic_excluded,
+        )
+
+
+def race_candidates(events: Sequence[Event], db: TraceDatabase) -> RaceCandidates:
+    """The trace-only half of race detection over one trace.
 
     *events* must be the raw event stream the *db* was imported from
     (the happens-before edges live in the lock events, which the
     database's transaction view folds away).
     """
-    if lockset is None:
-        lockset = run_lockset(db)
+    lockset = run_lockset(db)
     needed = {access.ts for track in lockset.candidates for access in track.accesses}
-    hb = HappensBeforeIndex.build(events, needed)
-    return classify_candidates(
+    return RaceCandidates.build(
         lockset,
-        hb,
-        derivation,
+        HappensBeforeIndex.build(events, needed),
         synthetic_excluded=sum(
             1
             for a in db.accesses
             if a.filter_reason in (REASON_SYNTHETIC_TXN, REASON_STALE_LOCK)
         ),
     )
+
+
+def detect_races(
+    events: Sequence[Event],
+    db: TraceDatabase,
+    derivation: DerivationResult,
+) -> RaceReport:
+    """Run the full race-detection pipeline over one trace."""
+    return race_candidates(events, db).classify(derivation)
 
 
 def classify_candidates(
@@ -243,45 +339,12 @@ def classify_candidates(
 ) -> RaceReport:
     """Classify lockset candidates against *hb* and the derived rules.
 
-    The shared back half of race detection: :func:`detect_races` calls
-    it after a post-mortem lockset/HB pass, and the streaming engine
-    (:mod:`repro.stream`) calls it with its incrementally built state —
-    both produce the same report given the same inputs.  *hb* must hold
-    a stamp for every access of every candidate track.
+    The streaming engine (:mod:`repro.stream`) calls this with its
+    incrementally built state; it produces the same report as
+    :func:`detect_races` given the same inputs.
     """
-    grouped: Dict[Tuple[RaceClass, str, str], RaceFinding] = {}
-    for track in lockset.candidates:
-        pair, pairs = _first_unordered_pair(track, hb)
-        violations = _violating_accesses(track, derivation)
-        if pair is not None:
-            race_class = (
-                RaceClass.RULE_CONFIRMED_RACE if violations else RaceClass.LOCKSET_RACE
-            )
-        else:
-            race_class = (
-                RaceClass.ORDERED_VIOLATION if violations else RaceClass.BENIGN
-            )
-        key = (race_class, track.type_key, track.member)
-        finding = grouped.get(key)
-        if finding is None:
-            finding = RaceFinding(
-                race_class=race_class, type_key=track.type_key, member=track.member
-            )
-            grouped[key] = finding
-        _account(finding, track, derivation, pair, pairs, violations)
-
-    findings = sorted(
-        grouped.values(),
-        key=lambda f: (_SEVERITY[f.race_class], -f.events, f.type_key, f.member),
-    )
-    return RaceReport(
-        findings=findings,
-        tracked_members=len(lockset.tracks),
-        candidate_count=len(lockset.candidates),
-        state_counts={
-            state.value: count for state, count in lockset.state_counts().items()
-        },
-        synthetic_excluded=synthetic_excluded,
+    return RaceCandidates.build(lockset, hb, synthetic_excluded).classify(
+        derivation
     )
 
 
@@ -290,34 +353,33 @@ def classify_candidates(
 # ----------------------------------------------------------------------
 
 
-def _first_unordered_pair(
-    track: MemberTrack, hb: HappensBeforeIndex
-) -> Tuple[Optional[Tuple[AccessRow, AccessRow]], int]:
+def _first_unordered_pair(track: MemberTrack, hb: HappensBeforeIndex) -> Verdict:
     """Find unordered conflicting pairs in one candidate group.
 
     Walks the group in trace order keeping, per context, the latest
     access and the latest write.  Program order and transitivity make
     the latest conflicting access per context a sufficient witness: if
     it happens-before the current access, every earlier one does too.
-    Returns the first pair found plus the number of detections.
+    Returns the first pair found (as row positions) plus the number of
+    detections.
     """
-    last_any: Dict[int, Tuple[AccessStamp, AccessRow]] = {}
-    last_write: Dict[int, Tuple[AccessStamp, AccessRow]] = {}
-    first: Optional[Tuple[AccessRow, AccessRow]] = None
+    last_any: Dict[int, Tuple[AccessStamp, int]] = {}
+    last_write: Dict[int, Tuple[AccessStamp, int]] = {}
+    first: Optional[Tuple[int, int]] = None
     pairs = 0
-    for row in track.accesses:
+    for position, row in enumerate(track.accesses):
         stamp = hb.stamp(row.ts)
         conflicting = last_any if row.access_type == "w" else last_write
-        for ctx, (other_stamp, other_row) in conflicting.items():
+        for ctx, (other_stamp, other_position) in conflicting.items():
             if ctx == row.ctx_id:
                 continue
             if not happens_before(other_stamp, stamp):
                 pairs += 1
                 if first is None:
-                    first = (other_row, row)
-        last_any[row.ctx_id] = (stamp, row)
+                    first = (other_position, position)
+        last_any[row.ctx_id] = (stamp, position)
         if row.access_type == "w":
-            last_write[row.ctx_id] = (stamp, row)
+            last_write[row.ctx_id] = (stamp, position)
     return first, pairs
 
 

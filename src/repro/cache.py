@@ -19,7 +19,8 @@ by exactly that tuple:
 * **artifact tier** — pickled post-processing results (the imported
   :class:`TraceDatabase`, observation tables, derivation results)
   under ``<key>.<analysis-rev>.<name>.pkl``, where the analysis
-  revision additionally hashes ``repro.db`` and ``repro.core``.
+  revision additionally hashes ``repro.db``, ``repro.core`` and
+  ``repro.analysis``.
   Artifacts load independently, so a consumer that needs only the
   split observation table never pays for the (much larger) database
   pickle.
@@ -74,8 +75,12 @@ _CACHEABLE = frozenset(
 #: Packages whose sources determine the emitted event stream.
 _TRACE_PACKAGES = ("kernel", "tracing", "workloads", "fuzz")
 
-#: Additional packages that determine imported/derived artifacts.
-_ANALYSIS_PACKAGES = _TRACE_PACKAGES + ("db", "core")
+#: Additional packages that determine imported/derived artifacts
+#: (``analysis``: the ``race-candidates`` tier pickles its results).
+_ANALYSIS_PACKAGES = _TRACE_PACKAGES + ("db", "core", "analysis")
+
+#: The ``repro`` package directory whose sources the revisions hash.
+_SOURCE_ROOT = Path(__file__).resolve().parent
 
 _enabled = True
 
@@ -111,11 +116,10 @@ def _revision(packages: Tuple[str, ...]) -> str:
     memoized = _revision_memo.get(packages)
     if memoized is not None:
         return memoized
-    root = Path(__file__).resolve().parent
     digest = hashlib.sha256()
     for package in packages:
-        for path in sorted((root / package).rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
+        for path in sorted((_SOURCE_ROOT / package).rglob("*.py")):
+            digest.update(str(path.relative_to(_SOURCE_ROOT)).encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())
             digest.update(b"\0")
@@ -130,7 +134,8 @@ def kernel_revision() -> str:
 
 
 def analysis_revision() -> str:
-    """Hash of trace *and* import/derivation sources (artifact tier)."""
+    """Hash of trace *and* import/derivation/race-analysis sources
+    (artifact tier)."""
     return _revision(_ANALYSIS_PACKAGES)
 
 

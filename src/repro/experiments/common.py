@@ -16,15 +16,16 @@ are cached at two levels:
   (dominant) database import.
 
 Pipeline artifacts are **lazy**: ``db``/``db_stats``/``table``/
-``merged_table`` compute on first access — from a disk artifact when
-one exists, from the run result otherwise — so a consumer that needs
-only the split table (``derive``) or the database counts (``stats``)
-never loads the much larger database.
+``merged_table``/``race_candidates`` compute on first access — from a
+disk artifact when one exists, from the run result otherwise — so a
+consumer that needs only the split table (``derive``), the database
+counts (``stats``) or the race candidates (``races``) never loads the
+much larger database or decodes the trace.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro import cache
 from repro.core.derivator import DerivationResult, Derivator
@@ -32,6 +33,9 @@ from repro.core.observations import ObservationTable
 from repro.core.selection import DEFAULT_ACCEPT_THRESHOLD
 from repro.db.database import TraceDatabase
 from repro.workloads import registry  # noqa: F401  (re-export for monkeypatching)
+
+if TYPE_CHECKING:
+    from repro.analysis.racedetect import RaceCandidates
 
 #: Default workload scale for experiments; large enough for stable
 #: statistics, small enough for a laptop-scale pytest run.
@@ -91,6 +95,7 @@ class Pipeline:
         #: memory-backend entry would make backend-parity checks
         #: vacuous (both sides would read one cached payload).
         self._derivations_sqlite: Dict[float, DerivationResult] = {}
+        self._race_candidates: Dict[str, RaceCandidates] = {}
         self._store_tmp = None
 
     def _artifact(self, name: str, compute):
@@ -242,6 +247,37 @@ class Pipeline:
                 f"derivation{suffix}-t{accept_threshold!r}", compute
             )
             memo[accept_threshold] = result
+        return result
+
+    def race_candidates(self, backend: str = DEFAULT_BACKEND) -> RaceCandidates:
+        """The trace-only half of race detection (lockset candidates
+        and their happens-before verdicts).
+
+        It does not depend on the threshold, so one artifact serves
+        every ``races`` request.  Like the derivations, each backend
+        caches under its own artifact name and never serves the other's.
+        """
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
+        result = self._race_candidates.get(backend)
+        if result is None:
+
+            def compute() -> RaceCandidates:
+                # Imported here: only ``races`` needs the analysis
+                # package, and every other op's worker stays smaller.
+                from repro.analysis.racedetect import race_candidates
+
+                events = self.mix.tracer.events
+                db = (
+                    self.db
+                    if backend == "memory"
+                    else self.store().load_database()
+                )
+                return race_candidates(events, db)
+
+            suffix = "" if backend == "memory" else "-sqlite"
+            result = self._artifact(f"race-candidates{suffix}", compute)
+            self._race_candidates[backend] = result
         return result
 
 

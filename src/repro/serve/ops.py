@@ -227,17 +227,15 @@ def _run_violations(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _run_races(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.analysis import detect_races
-
-    sqlite = params["backend"] == "sqlite"
+    backend = params["backend"]
     if params["workload"] not in ("racer", "racer-safe"):
         pipeline = _pipeline(params)
-        events = pipeline.mix.tracer.events
-        db = pipeline.store().load_database() if sqlite else pipeline.db
-        derivation = pipeline.derive(
-            params["threshold"], backend=params["backend"]
+        candidates = pipeline.race_candidates(backend)
+        report = candidates.classify(
+            pipeline.derive(params["threshold"], backend=backend)
         )
     else:
+        from repro.analysis import detect_races
         from repro.workloads.racer import run_racer
 
         result = run_racer(
@@ -245,15 +243,14 @@ def _run_races(params: Dict[str, Any]) -> Dict[str, Any]:
             scale=params["scale"],
             racy=params["workload"] == "racer",
         )
-        events = result.tracer.events
         db = (
-            _racer_store_database(result) if sqlite else result.to_database()
+            _racer_store_database(result)
+            if backend == "sqlite"
+            else result.to_database()
         )
         derivation = result.derive(params["threshold"], jobs=params["jobs"])
-    text = detect_races(events, db, derivation).render(
-        examples=params["examples"]
-    )
-    return {"text": text, "exit_code": 0}
+        report = detect_races(result.tracer.events, db, derivation)
+    return {"text": report.render(examples=params["examples"]), "exit_code": 0}
 
 
 def _racer_store_database(result):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import shutil
 
 import pytest
 
@@ -453,6 +454,55 @@ def test_warm_stats_loads_the_db_summary_not_the_db(cache_dir, monkeypatch):
     monkeypatch.setattr(cache, "load_artifact", recording)
     assert ops.execute("stats", params)["text"] == cold
     assert loaded == ["db-stats"]
+
+
+def test_an_analysis_source_edit_misses_stored_race_candidates(
+    cache_dir, tmp_path, monkeypatch
+):
+    from repro.serve import ops
+
+    root = tmp_path / "repro"
+    shutil.copytree(
+        cache._SOURCE_ROOT, root, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    monkeypatch.setattr(cache, "_SOURCE_ROOT", root)
+    monkeypatch.setattr(cache, "_revision_memo", {})
+    kernel = cache.kernel_revision()
+    analysis = cache.analysis_revision()
+    ops.execute("races", {"workload": "mix", "seed": 0, "scale": SCALE})
+    assert cache.load_artifact("mix", 0, SCALE, "race-candidates") is not None
+
+    edited = root / "analysis" / "racedetect.py"
+    edited.write_bytes(edited.read_bytes() + b"\n")
+    cache._revision_memo.clear()
+    assert cache.kernel_revision() == kernel
+    assert cache.analysis_revision() != analysis
+    assert cache.load_artifact("mix", 0, SCALE, "race-candidates") is None
+
+
+def test_warm_races_loads_the_candidates_not_the_trace_or_db(
+    cache_dir, monkeypatch
+):
+    from repro.serve import ops
+
+    params = {"workload": "mix", "seed": 0, "scale": SCALE}
+    cold = ops.execute("races", params)["text"]
+    common.clear_cache()
+    loaded = []
+    load = cache.load_artifact
+
+    def recording(workload, seed, scale, name):
+        loaded.append(name)
+        return load(workload, seed, scale, name)
+
+    def no_decode(run):
+        raise AssertionError("a warm races decoded the trace")
+
+    monkeypatch.setattr(cache, "load_artifact", recording)
+    monkeypatch.setattr(cache.CachedRun, "tracer", property(no_decode))
+    assert ops.execute("races", params)["text"] == cold
+    assert isinstance(common.get_pipeline(0, SCALE).mix, cache.CachedRun)
+    assert sorted(loaded) == ["derivation-t0.9", "race-candidates"]
 
 
 @pytest.mark.parametrize("state", ("present", "absent", "corrupt"))
