@@ -8,5 +8,5 @@ track wall-clock numbers over time.
 Run the derivation benchmark with::
 
     PYTHONPATH=src python -m benchmarks.perf.bench_derive \
-        --scale 18 --jobs 4 --out BENCH_derive.json
+        --scale 18 --out BENCH_derive.json
 """

@@ -1,23 +1,22 @@
-"""Derivation-pipeline benchmark: trace -> import -> derive, timed.
+"""Derivation-pipeline benchmark: generate + import -> fold -> derive.
 
 Times the full pipeline on the benchmark mix and a standalone fsstress
-run, then times the derive step three ways:
+run, then times the derive step two ways:
 
 * ``baseline``  — the pre-rewrite serial path (re-fold + re-score per
   target, no memo; see :mod:`benchmarks.perf.baseline`),
-* ``serial``    — the memoized engine (``Derivator.derive``),
-* ``parallel``  — the memoized engine on a process pool (``jobs=N``).
+* ``serial``    — the memoized engine (``Derivator.derive``).
 
-All three must produce *equal* :class:`DerivationResult` payloads —
-the harness exits 1 on any divergence, which is what the ``perf-smoke``
-CI job asserts.  Results land in ``BENCH_derive.json``::
+Both must produce *equal* :class:`DerivationResult` payloads — the
+harness exits 1 on any divergence, which is what the ``perf-smoke`` CI
+job asserts.  Results land in ``BENCH_derive.json``::
 
     PYTHONPATH=src python -m benchmarks.perf.bench_derive \
-        --scale 18 --jobs 4 --out BENCH_derive.json
+        --scale 18 --out BENCH_derive.json
 
 Derive-step timings are best-of-``--repeat`` to damp scheduler noise;
-the trace/import phases run once (they dominate wall time and are not
-this benchmark's subject).
+the generate/import and fold phases run once (they dominate wall time
+and are not this benchmark's subject).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.workloads.mix import BenchmarkMix
 from benchmarks.perf.baseline import derive_serial_baseline
 
 #: Bump on any change to the JSON layout.
-SCHEMA = "lockdoc-bench-derive/2"
+SCHEMA = "lockdoc-bench-derive/3"
 
 
 def _run_mix(seed: int, scale: float) -> Tuple[TraceDatabase, int]:
@@ -85,16 +84,16 @@ def _best_of(repeat: int, fn: Callable[[], DerivationResult]):
 
 
 def bench_workload(
-    name: str, seed: int, scale: float, jobs: int, threshold: float, repeat: int
+    name: str, seed: int, scale: float, threshold: float, repeat: int
 ) -> Tuple[dict, bool]:
-    """Benchmark one workload; returns (record, parallel_matches)."""
+    """Benchmark one workload; returns (record, serial_matches_baseline)."""
     t0 = time.perf_counter()
     db, n_events = WORKLOADS[name](seed, scale)
-    trace_s = time.perf_counter() - t0
+    generate_import_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     table = ObservationTable.from_database(db)
-    import_s = time.perf_counter() - t0
+    fold_s = time.perf_counter() - t0
 
     targets = sum(1 for key in table.keys() if table.sequences(*key))
     derivator = Derivator(threshold)
@@ -103,39 +102,27 @@ def bench_workload(
         repeat, lambda: derive_serial_baseline(derivator, table)
     )
     serial_s, serial = _best_of(repeat, lambda: derivator.derive(table))
-    parallel_s, parallel = _best_of(
-        repeat, lambda: derivator.derive(table, jobs=jobs)
-    )
 
     serial_matches = serial == baseline
-    parallel_matches = parallel == serial
-    best_engine_s = min(serial_s, parallel_s)
     record = {
         "seed": seed,
         "scale": scale,
         "events": n_events,
         "observations": table.total,
         "targets": targets,
-        "trace_s": round(trace_s, 4),
-        "import_s": round(import_s, 4),
+        "generate_import_s": round(generate_import_s, 4),
+        "fold_s": round(fold_s, 4),
         "derive_baseline_s": round(baseline_s, 4),
         "derive_serial_s": round(serial_s, 4),
-        "derive_parallel_s": round(parallel_s, 4),
-        "targets_per_s": round(targets / best_engine_s, 1)
-        if best_engine_s
-        else None,
+        "targets_per_s": round(targets / serial_s, 1) if serial_s else None,
         "memo_hit_rate": round(serial.memo_stats.hit_rate, 4),
         "memo_distinct_profiles": serial.memo_stats.misses,
-        "speedup_vs_serial": round(baseline_s / best_engine_s, 2)
-        if best_engine_s
-        else None,
-        "speedup_parallel_vs_baseline": round(baseline_s / parallel_s, 2)
-        if parallel_s
+        "speedup_vs_baseline": round(baseline_s / serial_s, 2)
+        if serial_s
         else None,
         "serial_matches_baseline": serial_matches,
-        "parallel_matches_serial": parallel_matches,
     }
-    return record, serial_matches and parallel_matches
+    return record, serial_matches
 
 
 def main(argv=None) -> int:
@@ -144,7 +131,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=18.0)
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--threshold", type=float, default=0.9)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument(
@@ -162,7 +148,6 @@ def main(argv=None) -> int:
 
     report = {
         "schema": SCHEMA,
-        "jobs": args.jobs,
         "repeat": args.repeat,
         "python": sys.version.split()[0],
         "workloads": {},
@@ -170,7 +155,7 @@ def main(argv=None) -> int:
     ok = True
     for name in names:
         record, matches = bench_workload(
-            name, args.seed, args.scale, args.jobs, args.threshold, args.repeat
+            name, args.seed, args.scale, args.threshold, args.repeat
         )
         report["workloads"][name] = record
         ok = ok and matches
@@ -178,17 +163,15 @@ def main(argv=None) -> int:
             f"{name}: targets={record['targets']} "
             f"baseline={record['derive_baseline_s']:.3f}s "
             f"serial={record['derive_serial_s']:.3f}s "
-            f"parallel(j{args.jobs})={record['derive_parallel_s']:.3f}s "
             f"memo={record['memo_hit_rate']:.0%} "
-            f"speedup={record['speedup_vs_serial']}x"
+            f"speedup={record['speedup_vs_baseline']}x"
         )
 
     atomic_write_json(args.out, report)
     print(f"wrote {args.out}")
     if not ok:
         print(
-            "error: parallel/memoized derivation diverged from the serial "
-            "baseline",
+            "error: memoized derivation diverged from the serial baseline",
             file=sys.stderr,
         )
         return 1

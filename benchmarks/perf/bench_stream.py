@@ -69,7 +69,7 @@ def _run_postmortem(workload: str, seed: int, scale: float):
     stream = open_binary_stream(io.BytesIO(dump))
     db = Importer(structs, filters).run(stream.events, stream.stacks)
     table = ObservationTable.from_database(db)
-    derivation = Derivator(0.9).derive(table, jobs=1)
+    derivation = Derivator(0.9).derive(table)
     return events, _derivation_rows(derivation)
 
 
@@ -78,7 +78,7 @@ def _run_streamed(workload: str, seed: int, scale: float):
     from repro.stream import run_streamed
 
     run = run_streamed(workload, seed, scale)
-    derivation = run.derive(0.9, jobs=1)
+    derivation = run.derive(0.9)
     return run.engine.total_events, _derivation_rows(derivation)
 
 

@@ -126,16 +126,6 @@ def _add_stream_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for rule derivation (results are "
-        "identical to serial; small workloads fall back to serial "
-        "automatically since pool startup would dominate; "
-        "default: serial)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lockdoc",
@@ -149,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     derive = sub.add_parser("derive", help="derive locking rules")
     _add_pipeline_args(derive)
-    _add_jobs_arg(derive)
     _add_backend_arg(derive)
     _add_remote_arg(derive)
     derive.add_argument("--type", default="", help="restrict to one type key")
@@ -164,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="check documented rules (Tab. 4)")
     _add_pipeline_args(check)
-    _add_jobs_arg(check)
     _add_backend_arg(check)
     _add_remote_arg(check)
 
@@ -174,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     violations = sub.add_parser("violations", help="find rule violations (Tab. 7)")
     _add_pipeline_args(violations)
-    _add_jobs_arg(violations)
     _add_backend_arg(violations)
     _add_remote_arg(violations)
     violations.add_argument(
@@ -184,7 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="regenerate a table/figure")
     experiment.add_argument("name", choices=_EXPERIMENTS)
     _add_pipeline_args(experiment)
-    _add_jobs_arg(experiment)
 
     stats = sub.add_parser("stats", help="trace statistics (Sec. 7.2)")
     _add_pipeline_args(stats)
@@ -207,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "races", help="lockset + happens-before race detection"
     )
     _add_pipeline_args(races, workload_default="racer")
-    _add_jobs_arg(races)
     _add_backend_arg(races)
     _add_remote_arg(races)
     races.add_argument(
@@ -345,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale", type=float, default=1.0, help="mix scale for the comparison"
     )
     fuzz_report.add_argument("--threshold", type=float, default=0.9)
-    _add_jobs_arg(fuzz_report)
 
     staticcheck = sub.add_parser(
         "staticcheck", help="static call-graph lock-context checker"
@@ -380,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="fuse static findings with dynamically mined rules"
     )
     _add_pipeline_args(static_report)
-    _add_jobs_arg(static_report)
     static_report.add_argument(
         "--rules", default="", metavar="FILE",
         help="rule export from `lockdoc derive --json` "
@@ -550,7 +533,6 @@ def _cmd_derive(args) -> int:
         **_pipeline_params(args),
         "threshold": args.threshold,
         "type": args.type,
-        "jobs": args.jobs,
         "want_rules_json": bool(args.json),
     }
     if args.stream:
@@ -570,8 +552,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    params = {**_pipeline_params(args), "jobs": args.jobs}
-    result = _execute_op(args, "check", params)
+    result = _execute_op(args, "check", _pipeline_params(args))
     print(result["text"])
     return result["exit_code"]
 
@@ -584,11 +565,7 @@ def _cmd_docgen(args) -> int:
 
 
 def _cmd_violations(args) -> int:
-    params = {
-        **_pipeline_params(args),
-        "examples": args.examples,
-        "jobs": args.jobs,
-    }
+    params = {**_pipeline_params(args), "examples": args.examples}
     result = _execute_op(args, "violations", params)
     print(result["text"])
     return result["exit_code"]
@@ -682,7 +659,6 @@ def _cmd_races(args) -> int:
         **_pipeline_params(args),
         "threshold": args.threshold,
         "examples": args.examples,
-        "jobs": args.jobs,
     }
     if args.stream:
         from repro.stream import run_races_streamed
@@ -842,8 +818,7 @@ def _cmd_fuzz(args) -> int:
     from repro.fuzz.report import build_fuzz_report
 
     report = build_fuzz_report(
-        corpus, seed=args.seed, scale=args.scale,
-        threshold=args.threshold, jobs=args.jobs,
+        corpus, seed=args.seed, scale=args.scale, threshold=args.threshold
     )
     print(report.render())
     return 0
@@ -1057,9 +1032,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if jobs is not None and jobs < 1:
         print(f"error: --jobs {jobs} must be >= 1", file=sys.stderr)
         return 2
-    # One process-wide default so every derivation a subcommand
-    # triggers (including inside experiments) uses the worker pool.
-    experiments_common.set_default_jobs(jobs)
     if getattr(args, "no_cache", False):
         from repro import cache
 

@@ -8,8 +8,8 @@ The subpackage implements phases 2 and 3 of the paper:
 * :mod:`repro.core.hypotheses`    — hypothesis enumeration and support
 * :mod:`repro.core.memo`          — canonical-profile hypothesis memo
 * :mod:`repro.core.selection`     — winning-hypothesis selection
-* :mod:`repro.core.derivator`     — end-to-end rule derivation (serial
-  or process-parallel via ``derive(table, jobs=N)``)
+* :mod:`repro.core.derivator`     — end-to-end rule derivation (serial,
+  memoized per observation profile)
 * :mod:`repro.core.checker`       — Locking-Rule Checker  (Sec. 7.3)
 * :mod:`repro.core.docgen`        — Documentation Generator (Fig. 8)
 * :mod:`repro.core.violations`    — Rule-Violation Finder  (Sec. 7.5)

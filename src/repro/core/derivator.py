@@ -6,33 +6,22 @@ enumerates and scores hypotheses, and selects a winner.  The result
 object offers the aggregate views the evaluation needs (rule counts,
 "no lock" fractions for Fig. 7, per-type winners for Tab. 6).
 
-Derivation targets are independent, so the engine exploits two levels
-of structure:
-
-* **Memoization** — targets whose folded observation profiles are
-  equal share one ``enumerate_and_score`` result via
-  :class:`~repro.core.memo.HypothesisMemo`.
-* **Process parallelism** — ``derive(table, jobs=N)`` dedups targets
-  down to distinct profiles, chunks the cache misses, and ships the
-  *folded sequences* (never the table or raw observations) to a
-  ``ProcessPoolExecutor``.  The merged :class:`DerivationResult` is
-  bit-identical to a serial run — winners, supports, report order and
-  even the memo statistics.
+Derivation targets are independent, and targets whose folded
+observation profiles are equal share one ``enumerate_and_score`` result
+via :class:`~repro.core.memo.HypothesisMemo`.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.hypotheses import (
     MAX_RULE_LOCKS,
     Hypothesis,
     enumerate_and_score,
 )
-from repro.core.lockrefs import LockSeq
-from repro.core.memo import HypothesisMemo, MemoStats, Profile, canonical_profile
+from repro.core.memo import HypothesisMemo, MemoStats
 from repro.core.observations import ObsKey, ObservationTable
 from repro.core.rules import LockingRule
 from repro.core.selection import (
@@ -90,7 +79,7 @@ class DerivationResult:
         """Payload equality: same threshold and same derivations.
 
         Memo statistics are run metadata and deliberately excluded, so
-        a parallel run compares equal to its serial twin.
+        a run on a warm, shared memo compares equal to a cold one.
         """
         if not isinstance(other, DerivationResult):
             return NotImplemented
@@ -147,25 +136,6 @@ class DerivationResult:
         if total == 0:
             return None
         return self.no_lock_count(type_key, access_type) / total
-
-
-#: Minimum distinct uncached profiles before ``jobs > 1`` actually
-#: forks a pool.  Spawning workers and pickling chunks costs a fixed
-#: few hundred milliseconds while scoring one profile takes ~1-3 ms,
-#: so below this point the pool is pure overhead (fsstress, with ~140
-#: distinct profiles, ran 5.6x slower under ``--jobs 4`` than serial).
-#: The mix workload (~335 distinct profiles) still parallelizes.
-_PARALLEL_MIN_PROFILES = 192
-
-
-def _score_chunk(payload: Tuple[Sequence[Profile], int]) -> List[List[Hypothesis]]:
-    """Worker: enumerate and score one chunk of canonical profiles.
-
-    Top-level so it pickles; receives only folded sequences and returns
-    plain hypothesis lists — no table, no database, no observations.
-    """
-    profiles, max_locks = payload
-    return [enumerate_and_score(list(profile), max_locks) for profile in profiles]
 
 
 class Derivator:
@@ -260,95 +230,31 @@ class Derivator:
         )
 
     # ------------------------------------------------------------------
-    # Whole-table derivation (serial or parallel)
+    # Whole-table derivation
     # ------------------------------------------------------------------
 
     def derive(
         self,
         table: ObservationTable,
-        jobs: Optional[int] = None,
         memo: Optional[HypothesisMemo] = None,
+        jobs: Optional[int] = None,
     ) -> DerivationResult:
         """Derive rules for every observed target in *table*.
 
-        ``jobs > 1`` scores distinct observation profiles on a process
-        pool; the merged result is bit-identical to the serial path.
-        Small workloads (fewer than
-        :data:`_PARALLEL_MIN_PROFILES` distinct uncached profiles)
-        fall back to serial automatically — forking the pool and
-        pickling the work units costs more than the scoring itself
-        there, so honouring ``--jobs`` literally made e.g. fsstress
-        several times *slower*.  A caller-supplied *memo* is reused
-        (and further filled), which lets repeated derivations at
-        different thresholds share work.
+        A caller-supplied *memo* is reused (and further filled), which
+        lets repeated derivations at different thresholds share work.
         """
+        # ``jobs`` is ignored, kept only because benchmarks/e2e/paths.py passes it.
         if memo is None:
             memo = HypothesisMemo()
         result = DerivationResult(self.accept_threshold)
-        targets = [
-            (key, sequences)
-            for key in table.keys()
-            if (sequences := table.sequences(*key))
-        ]
-        if jobs is not None and jobs > 1 and targets:
-            self._prescore_parallel(memo, [s for _, s in targets], jobs)
-        for key, sequences in targets:
+        for key in table.keys():
+            sequences = table.sequences(*key)
+            if not sequences:
+                continue
             hypotheses = memo.enumerate_and_score(sequences, self.max_locks)
             result.add(
                 self._build(*key, table.observation_count(*key), hypotheses)
             )
         result.memo_stats = memo.stats
         return result
-
-    def _prescore_parallel(
-        self,
-        memo: HypothesisMemo,
-        seq_lists: Sequence[Sequence[Tuple[LockSeq, int]]],
-        jobs: int,
-    ) -> None:
-        """Fill the memo's cache misses on a process pool.
-
-        Only *distinct uncached* profiles travel to the workers (the
-        memo dedup is the parallel work partition), and seeded entries
-        count as misses on first use, so statistics match serial runs.
-        """
-        pending: List[Profile] = []
-        seen = set()
-        for sequences in seq_lists:
-            profile = canonical_profile(sequences)
-            key = (profile, self.max_locks)
-            if key in memo or profile in seen:
-                continue
-            seen.add(profile)
-            pending.append(profile)
-        if len(pending) < _PARALLEL_MIN_PROFILES:
-            return  # pool startup would dominate; score serially
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            workers = min(jobs, len(pending))
-            # More chunks than workers for load balance; contiguous
-            # slices keep the order deterministic.
-            n_chunks = min(len(pending), workers * 4)
-            step = -(-len(pending) // n_chunks)
-            chunks = [
-                pending[i : i + step] for i in range(0, len(pending), step)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                scored = list(
-                    pool.map(
-                        _score_chunk,
-                        [(chunk, self.max_locks) for chunk in chunks],
-                    )
-                )
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            # Sandboxes without fork/semaphores: degrade to serial.
-            print(
-                f"warning: parallel derivation unavailable ({exc}); "
-                "falling back to serial",
-                file=sys.stderr,
-            )
-            return
-        for chunk, hypothesis_lists in zip(chunks, scored):
-            for profile, hypotheses in zip(chunk, hypothesis_lists):
-                memo.seed(profile, self.max_locks, hypotheses)

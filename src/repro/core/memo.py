@@ -13,16 +13,13 @@ that gives Eraser-style tools their scale.
 :class:`HypothesisMemo` keys cached hypothesis lists on the *canonical*
 profile (sorted by descending count, then lockseq) plus ``max_locks``,
 so the cache is insensitive to the order a caller folded the
-observations in.  The memo also underpins the parallel derivation path:
-the parent process dedups targets down to distinct profiles, ships only
-cache *misses* to worker processes, and seeds the results back — which
-keeps the hit/miss statistics identical to a serial run.
+observations in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.hypotheses import MAX_RULE_LOCKS, Hypothesis, enumerate_and_score
 from repro.core.lockrefs import LockSeq
@@ -58,10 +55,6 @@ class MemoStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def merge(self, other: "MemoStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-
 
 class HypothesisMemo:
     """Shares ``enumerate_and_score`` results across derivation targets.
@@ -72,14 +65,7 @@ class HypothesisMemo:
 
     def __init__(self) -> None:
         self._cache: Dict[_MemoKey, List[Hypothesis]] = {}
-        #: Keys filled by :meth:`seed` (parallel workers) that have not
-        #: been consumed yet — their first lookup counts as a *miss*, so
-        #: parallel and serial runs report identical statistics.
-        self._seeded: Set[_MemoKey] = set()
         self.stats = MemoStats()
-
-    def __contains__(self, key: _MemoKey) -> bool:
-        return key in self._cache
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -94,21 +80,9 @@ class HypothesisMemo:
         key = (profile, max_locks)
         cached = self._cache.get(key)
         if cached is not None:
-            if key in self._seeded:
-                self._seeded.discard(key)
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
+            self.stats.hits += 1
             return cached
         self.stats.misses += 1
         hypotheses = enumerate_and_score(list(profile), max_locks)
         self._cache[key] = hypotheses
         return hypotheses
-
-    def seed(
-        self, profile: Profile, max_locks: int, hypotheses: List[Hypothesis]
-    ) -> None:
-        """Install an externally computed result (parallel scoring)."""
-        key = (profile, max_locks)
-        self._cache[key] = hypotheses
-        self._seeded.add(key)

@@ -49,22 +49,6 @@ DEFAULT_WORKLOAD = "mix"
 BACKENDS = ("memory", "sqlite")
 DEFAULT_BACKEND = "memory"
 
-#: Process-level default for derivation worker processes (``--jobs``).
-#: None means serial.  Parallel and serial derivation produce identical
-#: results, so this only affects wall-clock time.
-_DEFAULT_JOBS: Optional[int] = None
-
-
-def set_default_jobs(jobs: Optional[int]) -> None:
-    """Set the derivation worker-process default (CLI ``--jobs``)."""
-    global _DEFAULT_JOBS
-    _DEFAULT_JOBS = jobs
-
-
-def get_default_jobs() -> Optional[int]:
-    return _DEFAULT_JOBS
-
-
 class Pipeline:
     """One fully processed workload run (artifacts computed lazily).
 
@@ -218,13 +202,11 @@ class Pipeline:
     def derive(
         self,
         accept_threshold: float = DEFAULT_ACCEPT_THRESHOLD,
-        jobs: Optional[int] = None,
         backend: str = DEFAULT_BACKEND,
     ) -> DerivationResult:
-        # Cached per threshold only: parallel derivation is bit-identical
-        # to serial, so the jobs count never changes the payload.  The
-        # sqlite backend caches under its own artifact name so the two
-        # backends never serve each other's results.
+        # Cached per threshold.  The sqlite backend caches under its own
+        # artifact name so the two backends never serve each other's
+        # results.
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         memo = (
@@ -234,13 +216,10 @@ class Pipeline:
         if result is None:
 
             def compute() -> DerivationResult:
-                effective_jobs = jobs if jobs is not None else _DEFAULT_JOBS
                 table = (
                     self.table if backend == "memory" else self.sqlite_table()
                 )
-                return Derivator(accept_threshold).derive(
-                    table, jobs=effective_jobs
-                )
+                return Derivator(accept_threshold).derive(table)
 
             suffix = "" if backend == "memory" else "-sqlite"
             result = self._artifact(

@@ -179,8 +179,7 @@ def execute_batch(
     """Execute candidates, optionally fanning across a process pool.
 
     Results come back in input order regardless of worker scheduling,
-    so parallel fuzzing is bit-identical to serial — the same contract
-    the derivation engine's ``--jobs`` machinery established.
+    so parallel fuzzing is bit-identical to serial.
     """
     if jobs is None or jobs <= 1 or len(programs) <= 1:
         return [execute_program(p) for p in programs]

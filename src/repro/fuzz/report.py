@@ -147,7 +147,6 @@ def build_fuzz_report(
     seed: int = 0,
     scale: float = 1.0,
     threshold: float = 0.9,
-    jobs: Optional[int] = None,
 ) -> FuzzReport:
     """Run the baseline workload + every corpus program, derive both
     views, compare.  The baseline matches the corpus's subsystem: the
@@ -179,8 +178,8 @@ def build_fuzz_report(
         combined_executed |= execution.coverage.functions
 
     derivator = Derivator(threshold)
-    baseline_sr = SrDistribution.of(derivator.derive(mix_table, jobs=jobs))
-    combined_sr = SrDistribution.of(derivator.derive(combined_table, jobs=jobs))
+    baseline_sr = SrDistribution.of(derivator.derive(mix_table))
+    combined_sr = SrDistribution.of(derivator.derive(combined_table))
 
     catalog = build_catalog(mix_world, subsystem)
     coverage_rows = []

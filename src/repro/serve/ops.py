@@ -20,7 +20,7 @@ coalescing normalizer: two requests that differ only in param spelling
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.experiments import common as experiments_common
 
@@ -52,15 +52,6 @@ def _as_bool(value: Any) -> bool:
     return value
 
 
-def _as_jobs(value: Any) -> Optional[int]:
-    if value is None:
-        return None
-    jobs = _as_int(value)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _as_backend(value: Any) -> str:
     backend = _as_str(value)
     if backend not in experiments_common.BACKENDS:
@@ -81,20 +72,14 @@ _SPECS: Dict[str, Dict[str, Tuple[Callable[[Any], Any], Any]]] = {
         **_PIPELINE_FIELDS,
         "threshold": (_as_float, 0.9),
         "type": (_as_str, ""),
-        "jobs": (_as_jobs, None),
         "want_rules_json": (_as_bool, False),
     },
-    "check": {**_PIPELINE_FIELDS, "jobs": (_as_jobs, None)},
-    "violations": {
-        **_PIPELINE_FIELDS,
-        "examples": (_as_int, 0),
-        "jobs": (_as_jobs, None),
-    },
+    "check": dict(_PIPELINE_FIELDS),
+    "violations": {**_PIPELINE_FIELDS, "examples": (_as_int, 0)},
     "races": {
         **_PIPELINE_FIELDS,
         "threshold": (_as_float, 0.9),
         "examples": (_as_int, 0),
-        "jobs": (_as_jobs, None),
     },
     "stats": dict(_PIPELINE_FIELDS),
     "health": {
@@ -157,9 +142,7 @@ def _run_derive(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.core.report import render_table
 
     pipeline = _pipeline(params)
-    derivation = pipeline.derive(
-        params["threshold"], jobs=params["jobs"], backend=params["backend"]
-    )
+    derivation = pipeline.derive(params["threshold"], backend=params["backend"])
     rows = []
     for d in derivation.all():
         if params["type"] and d.type_key != params["type"]:
@@ -207,7 +190,7 @@ def _run_violations(params: Dict[str, Any]) -> Dict[str, Any]:
     )
 
     pipeline = _pipeline(params)
-    derivation = pipeline.derive(jobs=params["jobs"], backend=params["backend"])
+    derivation = pipeline.derive(backend=params["backend"])
     violations = ViolationFinder(derivation, _table_for(pipeline, params)).find()
     rows = [
         [s.type_key, s.events, s.members, s.contexts]
@@ -248,7 +231,7 @@ def _run_races(params: Dict[str, Any]) -> Dict[str, Any]:
             if backend == "sqlite"
             else result.to_database()
         )
-        derivation = result.derive(params["threshold"], jobs=params["jobs"])
+        derivation = result.derive(params["threshold"])
         report = detect_races(result.tracer.events, db, derivation)
     return {"text": report.render(examples=params["examples"]), "exit_code": 0}
 

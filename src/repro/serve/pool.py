@@ -4,7 +4,7 @@ Cold analysis work (a derive at an unseen scale) runs for tens of
 seconds; the daemon must be able to (a) **cancel** it when the
 request's deadline expires, (b) **survive** it dying mid-computation,
 and (c) keep one request's crash from poisoning another's executor.
-``concurrent.futures.ProcessPoolExecutor`` offers none of these — a
+The process pool of ``concurrent.futures`` offers none of these — a
 running task cannot be cancelled, and one dead worker breaks the whole
 pool — so the daemon spawns **one process per task**, bounded by the
 server's worker semaphore:

@@ -41,16 +41,10 @@ class StreamRun:
     result: object
 
     def derive(
-        self,
-        accept_threshold: float = 0.9,
-        jobs: Optional[int] = None,
+        self, accept_threshold: float = 0.9, jobs: Optional[int] = None
     ) -> DerivationResult:
-        effective = (
-            jobs if jobs is not None else experiments_common.get_default_jobs()
-        )
-        return Derivator(accept_threshold).derive(
-            self.engine.table, jobs=effective
-        )
+        # ``jobs`` is ignored, kept only because benchmarks/e2e/paths.py passes it.
+        return Derivator(accept_threshold).derive(self.engine.table)
 
 
 def run_streamed(
@@ -106,7 +100,7 @@ def run_derive_streamed(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.core.report import render_table
 
     run = run_streamed(params["workload"], params["seed"], params["scale"])
-    derivation = run.derive(params["threshold"], jobs=params["jobs"])
+    derivation = run.derive(params["threshold"])
     rows = []
     for d in derivation.all():
         if params["type"] and d.type_key != params["type"]:
@@ -133,7 +127,7 @@ def run_races_streamed(params: Dict[str, Any]) -> Dict[str, Any]:
     run = run_streamed(
         params["workload"], params["seed"], params["scale"], races=True
     )
-    derivation = run.derive(params["threshold"], jobs=params["jobs"])
+    derivation = run.derive(params["threshold"])
     report = run.engine.race_report(derivation)
     return {
         "text": report.render(examples=params["examples"]),

@@ -48,7 +48,7 @@ detector must report **zero** races (the planted cycle remains).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Tuple
+from typing import Generator, Tuple
 
 from repro.core.derivator import DerivationResult, Derivator
 from repro.core.observations import ObservationTable
@@ -114,11 +114,9 @@ class RacerResult:
     def to_database(self) -> TraceDatabase:
         return import_tracer(self.tracer, self.rt.structs)
 
-    def derive(
-        self, accept_threshold: float = 0.9, jobs: Optional[int] = None
-    ) -> DerivationResult:
+    def derive(self, accept_threshold: float = 0.9) -> DerivationResult:
         table = ObservationTable.from_database(self.to_database())
-        return Derivator(accept_threshold).derive(table, jobs=jobs)
+        return Derivator(accept_threshold).derive(table)
 
 
 def run_racer(seed: int = 0, scale: float = 1.0, racy: bool = True) -> RacerResult:

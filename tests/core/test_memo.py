@@ -1,8 +1,13 @@
 """Unit tests for the canonical-profile hypothesis memo."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.derivator import Derivator
 from repro.core.hypotheses import enumerate_and_score
 from repro.core.lockrefs import LockRef
 from repro.core.memo import HypothesisMemo, MemoStats, canonical_profile
+from repro.core.observations import Observation, ObservationTable
 
 A = LockRef.es("lock_a", "pair")
 B = LockRef.es("lock_b", "pair")
@@ -51,25 +56,67 @@ def test_distinct_profiles_do_not_collide():
     assert memo.stats.misses == 4
 
 
-def test_seeded_entries_count_as_miss_once():
-    """Parallel prescoring seeds the cache; the first consuming lookup
-    must count as a miss (matching what a serial run would record) and
-    later lookups as hits."""
-    memo = HypothesisMemo()
-    prof = canonical_profile(profile())
-    memo.seed(prof, 4, enumerate_and_score(list(prof)))
-    memo.enumerate_and_score(profile())
-    assert (memo.stats.hits, memo.stats.misses) == (0, 1)
-    memo.enumerate_and_score(profile())
-    assert (memo.stats.hits, memo.stats.misses) == (1, 1)
-
-
-def test_stats_merge():
-    stats = MemoStats(hits=3, misses=1)
-    stats.merge(MemoStats(hits=1, misses=3))
-    assert stats.lookups == 8
-    assert stats.hit_rate == 0.5
-
-
 def test_empty_stats_hit_rate():
     assert MemoStats().hit_rate == 0.0
+
+
+def test_shared_memo_across_thresholds(pipeline):
+    """A caller-supplied memo is reused across derive() calls."""
+    memo = HypothesisMemo()
+    first = Derivator(0.9).derive(pipeline.table, memo=memo)
+    lookups = memo.stats.lookups
+    misses_after_first = memo.stats.misses
+    second = Derivator(0.5).derive(pipeline.table, memo=memo)
+    # Second pass recomputed nothing: every lookup hit the shared cache.
+    assert memo.stats.lookups == 2 * lookups
+    assert memo.stats.misses == misses_after_first
+    # Thresholds differ, so selections may differ — but every target
+    # scored the same hypotheses.
+    for key in first.keys():
+        assert [h for h in second.get(*key).hypotheses] == [
+            h for h in first.get(*key).hypotheses
+        ]
+
+
+# ----------------------------------------------------------------------
+# Property test: random tables
+# ----------------------------------------------------------------------
+
+_LOCKS = (A, B, G, LockRef.global_("rcu", mode="r"))
+
+_lockseq = st.lists(
+    st.sampled_from(_LOCKS), max_size=3, unique=True
+).map(tuple)
+
+
+@st.composite
+def _tables(draw):
+    table = ObservationTable()
+    n_members = draw(st.integers(min_value=1, max_value=4))
+    for m in range(n_members):
+        member = f"m{m}"
+        seqs = draw(st.lists(_lockseq, min_size=1, max_size=5))
+        for i, seq in enumerate(seqs):
+            table._append(
+                Observation(
+                    txn_id=i,
+                    alloc_id=1,
+                    type_key="pair",
+                    member=member,
+                    access_type=draw(st.sampled_from(["r", "w"])),
+                    lockseq=seq,
+                    accesses=(),
+                )
+            )
+    return table
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=_tables())
+def test_random_tables_memo_equals_unmemoized(table):
+    """Memoized serial derivation equals per-target unmemoized
+    derivation (derive_one without a memo)."""
+    derivator = Derivator(0.9)
+    memoized = derivator.derive(table)
+    for key in memoized.keys():
+        assert memoized.get(*key) == derivator.derive_one(table, *key)

@@ -17,31 +17,32 @@ def test_baseline_equals_new_engine():
 
 def test_bench_workload_record_shape():
     record, matches = bench_workload(
-        "fsstress", seed=0, scale=0.5, jobs=2, threshold=0.9, repeat=1
+        "fsstress", seed=0, scale=0.5, threshold=0.9, repeat=1
     )
     assert matches
-    assert record["parallel_matches_serial"]
     assert record["serial_matches_baseline"]
     assert record["targets"] > 0
     assert 0.0 <= record["memo_hit_rate"] <= 1.0
-    assert record["speedup_vs_serial"] > 0
-    # baseline / parallel, so it is named for the baseline it divides.
-    assert record["speedup_parallel_vs_baseline"] > 0
-    assert "speedup_parallel_vs_serial" not in record
-    for field in ("trace_s", "import_s", "derive_baseline_s",
-                  "derive_serial_s", "derive_parallel_s", "targets_per_s"):
+    # baseline / engine, so it is named for the baseline it divides.
+    assert record["speedup_vs_baseline"] > 0
+    for field in ("generate_import_s", "fold_s", "derive_baseline_s",
+                  "derive_serial_s", "targets_per_s"):
         assert record[field] is not None
+    for gone in ("trace_s", "import_s", "derive_parallel_s",
+                 "speedup_vs_serial", "speedup_parallel_vs_baseline",
+                 "parallel_matches_serial"):
+        assert gone not in record
 
 
 def test_main_writes_json(tmp_path):
     out = tmp_path / "BENCH_derive.json"
     code = main([
-        "--scale", "0.5", "--jobs", "2", "--repeat", "1",
+        "--scale", "0.5", "--repeat", "1",
         "--workloads", "fsstress", "--out", str(out),
     ])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == "lockdoc-bench-derive/2"
+    assert report["schema"] == "lockdoc-bench-derive/3"
     assert "fsstress" in report["workloads"]
 
 

@@ -72,6 +72,21 @@ def test_no_command_rejected():
         cli.main([])
 
 
+@pytest.mark.parametrize("command", [
+    ["derive"], ["check"], ["violations"], ["experiment", "tab2"],
+    ["races"], ["fuzz", "report", "corpus.json"], ["staticcheck", "report"],
+])
+def test_derivation_commands_have_no_jobs_option(command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_fuzz_run_rejects_zero_jobs(capsys):
+    assert cli.main(["fuzz", "run", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "error: --jobs 0 must be >= 1\n"
+
+
 def test_lockorder_command(capsys):
     assert cli.main(["lockorder"]) == 0
     out = capsys.readouterr().out

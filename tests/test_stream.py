@@ -158,8 +158,8 @@ def test_truncated_trace_derive_equivalence():
     assert engine.table.keys() == table.keys()
     for key in table.keys():
         assert engine.table.sequences(*key) == table.sequences(*key)
-    streamed = _derivation_rows(Derivator(0.9).derive(engine.table, jobs=1))
-    post = _derivation_rows(Derivator(0.9).derive(table, jobs=1))
+    streamed = _derivation_rows(Derivator(0.9).derive(engine.table))
+    post = _derivation_rows(Derivator(0.9).derive(table))
     assert streamed == post
 
 
