@@ -1,20 +1,14 @@
 """Trace import: from the raw event stream to the relational database.
 
-This is the paper's post-processing step (Sec. 5.3).  It replays the
-event trace in order and
-
-* reconstructs allocation lifetimes (addresses are reused, so lookups
-  respect liveness),
-* builds **transactions** per execution context: a transaction starts
-  upon lock acquisition and ends when the held-lock set changes again
-  (Sec. 4.2); lock-free access runs are grouped into pseudo-transactions
-  so the "no lock" hypothesis has a well-defined denominator,
-* resolves each memory access to ``(allocation, member)`` via the type
-  layout,
-* abstracts the held lock instances of each access into
-  :class:`~repro.core.lockrefs.LockRef` sequences (global / embedded-
-  same / embedded-other — resolved **against the accessed object**),
-* applies the Sec. 5.3 filters, tagging dropped accesses with a reason.
+This is the paper's post-processing step (Sec. 5.3).  The importer
+replays the event trace through the forward transaction machine of
+:mod:`repro.db.replay` — allocation lifetimes, ``(allocation, member)``
+resolution, transactions and pseudo-transactions, ES/EO lock
+sequences, the Sec. 5.3 filters — and writes what it sees as
+allocation, lock, transaction and access rows, tagging filtered
+accesses with a reason.  On top of the machine it adds the repair
+side: quarantine, lost-release healing, and a retroactive pass over
+the finished rows.
 
 Resilience
 ----------
@@ -42,12 +36,10 @@ are mined only over salvaged-clean spans.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.lockrefs import LockScope, LockSeq, RefPairs, dedup_refs
 from repro.db.database import TraceDatabase
 from repro.db.filters import (
     REASON_STALE_LOCK,
@@ -58,6 +50,8 @@ from repro.db.filters import (
     FilterStats,
 )
 from repro.db.health import TraceHealth
+from repro.db.replay import NOWHERE, PSEUDO_CLASSES, Ctx, Replay, StackFrames
+from repro.db.replay import Q_DUPLICATE_ALLOC, Q_FREE_UNKNOWN, Q_OVERLAPPING_ALLOC  # noqa: F401
 from repro.db.schema import AccessRow, AllocationRow, HeldLock, LockRow, TxnRow
 from repro.kernel.structs import StructRegistry
 from repro.tracing.events import (
@@ -69,11 +63,6 @@ from repro.tracing.events import (
 )
 from repro.tracing.serialize import LoadReport
 
-StackFrames = Tuple[Tuple[str, str, int], ...]
-
-#: Lock classes whose instances are global pseudo-locks.
-_PSEUDO_CLASSES = {"rcu", "softirq", "hardirq", "preempt"}
-
 
 class ImportError_(ValueError):
     """Raised for traces that violate the event protocol."""
@@ -83,10 +72,8 @@ class ErrorBudgetExceeded(ImportError_):
     """Raised when the malformed fraction exceeds the configured budget."""
 
 
-#: Quarantine reasons (event-level defects).
-Q_FREE_UNKNOWN = "free_unknown_alloc"
-Q_DUPLICATE_ALLOC = "duplicate_alloc"
-Q_OVERLAPPING_ALLOC = "overlapping_alloc"
+#: Quarantine reasons (event-level defects); the allocation ones are
+#: the replay machine's, imported above.
 Q_UNMATCHED_RELEASE = REASON_UNMATCHED_RELEASE
 Q_UNKNOWN_EVENT = "unknown_event_type"
 
@@ -130,71 +117,21 @@ class QuarantinedEvent:
     reason: str
 
 
-@dataclass
-class _PendingTxn:
-    txn_id: int
-    ctx_id: int
-    start_ts: int
-    held: Tuple[HeldLock, ...]
-    no_locks: bool
-    used: bool = False
-    synthetic_close: bool = False
+class _ImportCtx(Ctx):
+    __slots__ = ("opened_held", "used")
+
+    def __init__(self, ctx_id: int, rank: int) -> None:
+        super().__init__(ctx_id, rank)
+        #: The open transaction's held set as it was at open.
+        self.opened_held: Tuple[HeldLock, ...] = ()
+        #: Whether any access went to the open transaction.
+        self.used = False
 
 
-class _LiveIndex:
-    """Sorted interval index over live allocations (no overlaps)."""
-
-    def __init__(self) -> None:
-        self._starts: List[int] = []
-        self._rows: List[AllocationRow] = []
-
-    def insert(self, row: AllocationRow) -> None:
-        index = bisect.bisect_left(self._starts, row.address)
-        self._starts.insert(index, row.address)
-        self._rows.insert(index, row)
-
-    def remove(self, row: AllocationRow) -> None:
-        index = bisect.bisect_left(self._starts, row.address)
-        if index >= len(self._rows) or self._rows[index] is not row:
-            raise ImportError_(f"free of unknown allocation {row.alloc_id}")
-        del self._starts[index]
-        del self._rows[index]
-
-    def find(self, address: int) -> Optional[AllocationRow]:
-        index = bisect.bisect_right(self._starts, address) - 1
-        if index < 0:
-            return None
-        row = self._rows[index]
-        if row.address <= address < row.address + row.size:
-            return row
-        return None
-
-    def overlaps(self, address: int, size: int) -> bool:
-        """Would ``[address, address + size)`` overlap a live allocation?"""
-        if size <= 0:
-            return False
-        if self.find(address) is not None:
-            return True
-        index = bisect.bisect_right(self._starts, address)
-        return index < len(self._starts) and self._starts[index] < address + size
-
-
-@dataclass
-class _CtxState:
-    #: Position of this context in first-seen order.
-    rank: int
-    #: Currently held locks: (lock_id, mode, acquire_ts).
-    held: List[Tuple[int, str, int]] = field(default_factory=list)
-    txn: Optional[_PendingTxn] = None
-    pseudo_frame: Optional[str] = None  # outermost function of pseudo-txn
-    #: accessed alloc_id -> its lock sequence under ``held``; cleared at
-    #: every change of ``held`` during the replay (the sequence depends
-    #: on nothing else).
-    seqs: Dict[int, LockSeq] = field(default_factory=dict)
-
-
-class Importer:
+class Importer(Replay):
     """One-shot importer; use :func:`import_trace` for convenience."""
+
+    _ctx_type = _ImportCtx
 
     def __init__(
         self,
@@ -203,17 +140,15 @@ class Importer:
         policy: Optional[ImportPolicy] = None,
         db: Optional[TraceDatabase] = None,
     ) -> None:
+        super().__init__(structs, filters)
         #: The target database.  Injectable so alternative storage
         #: (e.g. the spooling SQLite store) can receive the same
         #: population/repair calls through the TraceDatabase interface.
         self.db = db if db is not None else TraceDatabase(structs)
-        self.filters = filters or FilterConfig()
         self.policy = policy or STRICT_POLICY
         self.stats = FilterStats()
-        self.unmatched_releases = 0
         self.quarantine: List[QuarantinedEvent] = []
         self.healed_releases = 0
-        self.synthesized_releases = 0
         self.synthetic_txns = 0
         self.synthetic_accesses = 0
         self.fenced_accesses = 0
@@ -225,20 +160,13 @@ class Importer:
         #: the credibility bound for suspect spans.
         self._max_hold: Dict[int, int] = {}
         self._class_max_hold: Dict[str, int] = {}
+        #: Transactions closed by a synthesized release, with accesses.
+        self._synthetic_ids: List[int] = []
         self.dangling_stack_refs = 0
-        self.total_events = 0
-        self._live = _LiveIndex()
-        self._ctx: Dict[int, _CtxState] = {}
         #: lock_id -> {ctx_id: held entries of that lock}, for every
         #: lock some context holds right now: mutual-exclusion healing
         #: visits the current holders, not every context ever seen.
         self._holders: Dict[int, Dict[int, int]] = {}
-        #: lock_id -> its interned lock references.
-        self._scopes: Dict[int, LockScope] = {}
-        self._ref_pairs: RefPairs = {}
-        self._txn_counter = 0
-        self._access_counter = 0
-        self._stack_functions: Dict[int, FrozenSet[str]] = {}
         self._stack_table: Sequence[StackFrames] = [()]
 
     # ------------------------------------------------------------------
@@ -276,30 +204,11 @@ class Importer:
         return self.db
 
     def _finalize(self, final_ts: int) -> None:
-        """Close dangling transactions, synthesizing missing releases."""
-        synthetic_ids: List[int] = []
-        for ctx_id, state in self._ctx.items():
-            if state.held:
-                # A release event never arrived for these locks — the
-                # trace was truncated or the record dropped.  Synthesize
-                # the close so the transaction has an end, but flag it:
-                # its held set is a guess, not an observation — and
-                # mark the whole span since the stale acquire suspect,
-                # because the lost release may sit anywhere inside it.
-                self.synthesized_releases += len(state.held)
-                for lock_id, mode, acquire_ts in state.held:
-                    self._fences.append(
-                        (ctx_id, lock_id, mode, acquire_ts, final_ts)
-                    )
-                if state.txn is not None:
-                    state.txn.synthetic_close = True
-                state.held.clear()
-            txn = state.txn
-            self._close_txn(state, final_ts)
-            if txn is not None and txn.synthetic_close and txn.used:
-                synthetic_ids.append(txn.txn_id)
-        self.synthetic_txns = len(synthetic_ids)
-        for txn_id in synthetic_ids:
+        """Close dangling transactions, synthesizing missing releases,
+        then run the retroactive repairs over the finished rows."""
+        self._finish(final_ts)
+        self.synthetic_txns = len(self._synthetic_ids)
+        for txn_id in self._synthetic_ids:
             flagged = self.db.quarantine_txn_accesses(txn_id, REASON_SYNTHETIC_TXN)
             self.synthetic_accesses += flagged
             for _ in range(flagged):
@@ -385,161 +294,124 @@ class Importer:
         self.quarantine.append(QuarantinedEvent(event, reason))
 
     # ------------------------------------------------------------------
-    # Context / transaction machinery
+    # Replay hooks: row emission
     # ------------------------------------------------------------------
 
-    def _state(self, ctx_id: int) -> _CtxState:
-        state = self._ctx.get(ctx_id)
-        if state is None:
-            state = _CtxState(rank=len(self._ctx))
-            self._ctx[ctx_id] = state
-        return state
+    def _allocated(self, row: AllocationRow) -> None:
+        self.db.add_allocation(row)
 
-    def _push_held(
-        self, ctx_id: int, state: _CtxState, lock_id: int, mode: str, ts: int
-    ) -> None:
-        state.held.append((lock_id, mode, ts))
-        state.seqs.clear()
+    def _lock_seen(self, event, scope, is_static, owner) -> None:
+        embedded = owner is not NOWHERE
+        self.db.add_lock(
+            LockRow(
+                lock_id=event.lock_id,
+                lock_class=event.lock_class,
+                name=event.lock_name,
+                address=event.address,
+                is_static=is_static,
+                owner_alloc_id=owner.alloc_id if embedded else None,
+                owner_data_type=owner.row.data_type if embedded else None,
+                owner_member=owner.member.name,
+            )
+        )
+
+    def _open_txn(self, ctx: _ImportCtx, ts: int, no_locks: bool) -> None:
+        super()._open_txn(ctx, ts, no_locks)
+        ctx.opened_held = tuple(HeldLock(lock_id, mode) for lock_id, mode, _ in ctx.held)
+
+    def _txn_closed(self, ctx: _ImportCtx, end_ts: int) -> None:
+        if ctx.used:
+            self.db.add_txn(
+                TxnRow(
+                    txn_id=ctx.txn_id,
+                    ctx_id=ctx.ctx_id,
+                    start_ts=ctx.start_ts,
+                    end_ts=end_ts,
+                    held=ctx.opened_held,
+                    no_locks=ctx.no_locks,
+                    synthetic_close=ctx.synthetic_close,
+                )
+            )
+            if ctx.synthetic_close:
+                self._synthetic_ids.append(ctx.txn_id)
+            ctx.used = False
+
+    def _frames_of(self, stack_id: int) -> StackFrames:
+        """Bounds-checked stack lookup; corrupt ids resolve to no frames."""
+        if 0 <= stack_id < len(self._stack_table):
+            return self._stack_table[stack_id]
+        return ()
+
+    def _on_access(self, event: AccessEvent) -> None:
+        ts, ctx_id, address, size, is_write, stack_id, file, line = event
+        ctx = self._enter(ctx_id, ts, stack_id)
+        ctx.used = True
+        if not 0 <= stack_id < len(self._stack_table):
+            self.dangling_stack_refs += 1
+        entry = self._entry_at(address)
+        if entry.member.name is None:
+            self.stats.count(REASON_UNTYPED)
+            row = AccessRow(
+                self._access_counter, ts, ctx_id, ctx.txn_id, entry.alloc_id,
+                "<unknown>", None, "<raw>", "w" if is_write else "r",
+                address, size, stack_id, file, line, (), REASON_UNTYPED,
+            )
+        else:
+            reason = self._verdict(entry.member, stack_id)
+            if reason is not None:
+                self.stats.count(reason)
+            row = self._access_row(
+                event, ctx, entry, self._lockseq(ctx, entry.alloc_id), reason
+            )
+        self.db.add_access(row)
+
+    # ------------------------------------------------------------------
+    # Replay hooks: lost-release healing
+    # ------------------------------------------------------------------
+
+    def _push_held(self, ctx: Ctx, lock_id: int, mode: str, ts: int) -> None:
+        super()._push_held(ctx, lock_id, mode, ts)
         holders = self._holders.setdefault(lock_id, {})
-        holders[ctx_id] = holders.get(ctx_id, 0) + 1
+        holders[ctx.ctx_id] = holders.get(ctx.ctx_id, 0) + 1
 
-    def _pop_held(
-        self, ctx_id: int, state: _CtxState, index: int
-    ) -> Tuple[int, str, int]:
-        """Remove ``state.held[index]``, keeping the holder index exact."""
-        entry = state.held.pop(index)
-        state.seqs.clear()
+    def _pop_held(self, ctx: Ctx, index: int) -> Tuple[int, str, int]:
+        """Remove ``ctx.held[index]``, keeping the holder index exact."""
+        entry = super()._pop_held(ctx, index)
         lock_id = entry[0]
         holders = self._holders[lock_id]
-        if holders[ctx_id] > 1:
-            holders[ctx_id] -= 1
+        if holders[ctx.ctx_id] > 1:
+            holders[ctx.ctx_id] -= 1
         elif len(holders) > 1:
-            del holders[ctx_id]
+            del holders[ctx.ctx_id]
         else:
             del self._holders[lock_id]
         return entry
 
-    def _close_txn(self, state: _CtxState, end_ts: int) -> None:
-        txn = state.txn
-        if txn is None:
-            return
-        if txn.used:
-            self.db.add_txn(
-                TxnRow(
-                    txn_id=txn.txn_id,
-                    ctx_id=txn.ctx_id,
-                    start_ts=txn.start_ts,
-                    end_ts=end_ts,
-                    held=txn.held,
-                    no_locks=txn.no_locks,
-                    synthetic_close=txn.synthetic_close,
-                )
-            )
-        state.txn = None
-        state.pseudo_frame = None
+    def _acquire(self, ctx: Ctx, event: LockEvent, scope) -> None:
+        self._heal_lost_release(ctx, event)
+        self._heal_foreign_holders(event)
 
-    def _open_txn(
-        self, state: _CtxState, ctx_id: int, ts: int, no_locks: bool
-    ) -> _PendingTxn:
-        self._txn_counter += 1
-        txn = _PendingTxn(
-            txn_id=self._txn_counter,
-            ctx_id=ctx_id,
-            start_ts=ts,
-            held=tuple(HeldLock(lock_id, mode) for lock_id, mode, _ in state.held),
-            no_locks=no_locks,
-        )
-        state.txn = txn
-        return txn
-
-    # ------------------------------------------------------------------
-    # Event handlers
-    # ------------------------------------------------------------------
-
-    def _on_alloc(self, event: AllocEvent) -> None:
-        existing = self.db.allocations.get(event.alloc_id)
-        if existing is not None:
-            self._reject(
-                event,
-                Q_DUPLICATE_ALLOC,
-                f"duplicate allocation id {event.alloc_id}",
-            )
-            return
-        if self._live.overlaps(event.address, event.size):
-            self._reject(
-                event,
-                Q_OVERLAPPING_ALLOC,
-                f"allocation {event.alloc_id} overlaps a live allocation "
-                f"at {event.address:#x}",
-            )
-            return
-        row = AllocationRow(
-            alloc_id=event.alloc_id,
-            address=event.address,
-            size=event.size,
-            data_type=event.data_type,
-            subclass=event.subclass,
-            alloc_ts=event.ts,
-        )
-        self.db.add_allocation(row)
-        self._live.insert(row)
-        # An allocation is an operation boundary for lock-free runs.
-        state = self._state(event.ctx_id)
-        if state.txn is not None and state.txn.no_locks:
-            self._close_txn(state, event.ts)
-
-    def _on_free(self, event: FreeEvent) -> None:
-        row = self.db.allocations.get(event.alloc_id)
-        if row is None or row.free_ts is not None:
-            self._reject(
-                event,
-                Q_FREE_UNKNOWN,
-                f"free of unknown/dead allocation {event.alloc_id}",
-            )
-            return
-        row.free_ts = event.ts
-        self._live.remove(row)
-        state = self._state(event.ctx_id)
-        if state.txn is not None and state.txn.no_locks:
-            self._close_txn(state, event.ts)
-
-    def _on_lock(self, event: LockEvent) -> None:
-        state = self._state(event.ctx_id)
-        self._ensure_lock_row(event)
-        self._close_txn(state, event.ts)
-        if event.is_acquire:
-            self._heal_lost_release(state, event)
-            self._heal_foreign_holders(event)
-            self._push_held(
-                event.ctx_id, state, event.lock_id, event.mode, event.ts
-            )
-        else:
-            for index in range(len(state.held) - 1, -1, -1):
-                if state.held[index][0] == event.lock_id:
-                    self._record_hold(event, event.ts - state.held[index][2])
-                    self._pop_held(event.ctx_id, state, index)
-                    break
-            else:
-                # No matching acquisition in this context: either the
-                # lock predates tracing or the acquire event was lost.
-                # Tolerated in both modes, but counted and quarantined
-                # so it is never silently dropped.
-                self.unmatched_releases += 1
-                self.stats.count(REASON_UNMATCHED_RELEASE)
-                self.quarantine.append(
-                    QuarantinedEvent(event, Q_UNMATCHED_RELEASE)
-                )
-        if state.held:
-            self._open_txn(state, event.ctx_id, event.ts, no_locks=False)
-
-    def _record_hold(self, event: LockEvent, duration: int) -> None:
+    def _released(self, event: LockEvent, scope, span: int) -> None:
         """Track the longest clean hold per lock instance and class."""
-        if duration > self._max_hold.get(event.lock_id, -1):
-            self._max_hold[event.lock_id] = duration
-        if duration > self._class_max_hold.get(event.lock_class, -1):
-            self._class_max_hold[event.lock_class] = duration
+        if span > self._max_hold.get(event.lock_id, -1):
+            self._max_hold[event.lock_id] = span
+        if span > self._class_max_hold.get(event.lock_class, -1):
+            self._class_max_hold[event.lock_class] = span
 
-    def _heal_lost_release(self, state: _CtxState, event: LockEvent) -> None:
+    def _unmatched_release(self, event: LockEvent) -> None:
+        # Either the lock predates tracing or the acquire event was
+        # lost.  Tolerated in both modes, but counted and quarantined
+        # so it is never silently dropped.
+        self.stats.count(REASON_UNMATCHED_RELEASE)
+        self.quarantine.append(QuarantinedEvent(event, Q_UNMATCHED_RELEASE))
+
+    def _release_lost(self, ctx: Ctx, final_ts: int) -> None:
+        # The lost release may sit anywhere since the stale acquire:
+        # mark the whole span suspect.
+        for lock_id, mode, acquire_ts in ctx.held:
+            self._fences.append((ctx.ctx_id, lock_id, mode, acquire_ts, final_ts))
+
+    def _heal_lost_release(self, ctx: Ctx, event: LockEvent) -> None:
         """Fence a lost release when the same lock is re-acquired.
 
         A context cannot re-acquire a held exclusive lock without
@@ -550,12 +422,12 @@ class Importer:
         legitimately, so for them the same eviction is a heuristic and
         only runs under ``policy.heal_shared_reacquire``.
         """
-        exclusive = event.mode == "w" and event.lock_class not in _PSEUDO_CLASSES
+        exclusive = event.mode == "w" and event.lock_class not in PSEUDO_CLASSES
         if not exclusive and not self.policy.heal_shared_reacquire:
             return
-        for index in range(len(state.held) - 1, -1, -1):
-            if state.held[index][0] == event.lock_id:
-                _, mode, acquire_ts = self._pop_held(event.ctx_id, state, index)
+        for index in range(len(ctx.held) - 1, -1, -1):
+            if ctx.held[index][0] == event.lock_id:
+                _, mode, acquire_ts = self._pop_held(ctx, index)
                 self.healed_releases += 1
                 self._fences.append(
                     (event.ctx_id, event.lock_id, mode, acquire_ts, event.ts)
@@ -577,7 +449,7 @@ class Importer:
         fences come out in the same order a scan over every context
         would produce.
         """
-        if event.lock_class in _PSEUDO_CLASSES:
+        if event.lock_class in PSEUDO_CLASSES:
             return
         holders = self._holders.get(event.lock_id)
         if not holders:
@@ -586,180 +458,17 @@ class Importer:
         if len(foreign) > 1:
             foreign.sort(key=lambda ctx_id: self._ctx[ctx_id].rank)
         for ctx_id in foreign:
-            state = self._ctx[ctx_id]
-            for index in range(len(state.held) - 1, -1, -1):
-                if state.held[index][0] == event.lock_id and (
-                    event.mode == "w" or state.held[index][1] == "w"
+            ctx = self._ctx[ctx_id]
+            for index in range(len(ctx.held) - 1, -1, -1):
+                if ctx.held[index][0] == event.lock_id and (
+                    event.mode == "w" or ctx.held[index][1] == "w"
                 ):
-                    _, mode, acquire_ts = self._pop_held(ctx_id, state, index)
+                    _, mode, acquire_ts = self._pop_held(ctx, index)
                     self.healed_releases += 1
                     self._fences.append(
                         (ctx_id, event.lock_id, mode, acquire_ts, event.ts)
                     )
                     break
-
-    def _ensure_lock_row(self, event: LockEvent) -> None:
-        if event.lock_id in self.db.locks:
-            return
-        owner_alloc_id = None
-        owner_data_type = None
-        owner_member = None
-        is_static = event.address is None or event.lock_class in _PSEUDO_CLASSES
-        if event.address is not None:
-            owner = self._live.find(event.address)
-            if owner is not None:
-                owner_alloc_id = owner.alloc_id
-                owner_data_type = owner.data_type
-                member = self._resolve_member(owner, event.address - owner.address)
-                owner_member = member.name if member is not None else None
-            else:
-                is_static = True
-        self._scopes[event.lock_id] = LockScope(
-            self._ref_pairs, event.lock_name, is_static, owner_alloc_id,
-            owner_member, owner_data_type,
-        )
-        self.db.add_lock(
-            LockRow(
-                lock_id=event.lock_id,
-                lock_class=event.lock_class,
-                name=event.lock_name,
-                address=event.address,
-                is_static=is_static,
-                owner_alloc_id=owner_alloc_id,
-                owner_data_type=owner_data_type,
-                owner_member=owner_member,
-            )
-        )
-
-    def _resolve_member(self, allocation: AllocationRow, offset: int):
-        """Resolve *offset* within *allocation* to a member, or None.
-
-        Corrupt traces produce addresses landing in padding, beyond the
-        layout, or in unregistered types; resolution failure falls back
-        to the untyped path instead of raising.
-        """
-        if allocation.data_type not in self.db.structs:
-            return None
-        try:
-            return self.db.structs.get(allocation.data_type).member_at(offset)
-        except KeyError:
-            return None
-
-    def _on_access(self, event: AccessEvent) -> None:
-        state = self._state(event.ctx_id)
-        allocation = self._live.find(event.address)
-
-        # Transaction assignment.
-        if state.held:
-            txn = state.txn
-            if txn is None:  # pragma: no cover - defensive
-                raise ImportError_("held locks without an open transaction")
-        else:
-            txn = state.txn
-            outer = self._outer_function(event.stack_id)
-            if txn is None or state.pseudo_frame != outer:
-                self._close_txn(state, event.ts)
-                txn = self._open_txn(state, event.ctx_id, event.ts, no_locks=True)
-                state.pseudo_frame = outer
-        txn.used = True
-
-        self._access_counter += 1
-        access_type = "w" if event.is_write else "r"
-
-        member = None
-        if allocation is not None:
-            member = self._resolve_member(allocation, event.address - allocation.address)
-        if allocation is None or member is None:
-            row = AccessRow(
-                access_id=self._access_counter,
-                ts=event.ts,
-                ctx_id=event.ctx_id,
-                txn_id=txn.txn_id,
-                alloc_id=allocation.alloc_id if allocation is not None else -1,
-                data_type="<unknown>",
-                subclass=None,
-                member="<raw>",
-                access_type=access_type,
-                address=event.address,
-                size=event.size,
-                stack_id=event.stack_id,
-                file=event.file,
-                line=event.line,
-                lockseq=(),
-                filter_reason=REASON_UNTYPED,
-            )
-            self.stats.count(REASON_UNTYPED)
-            self.db.add_access(row)
-            return
-
-        lockseq = self._resolve_lockseq(state, allocation)
-        reason = self.filters.reason_for(
-            allocation.data_type,
-            member.name,
-            member.kind.value,
-            self._functions_of(event.stack_id),
-        )
-        if reason is not None:
-            self.stats.count(reason)
-        row = AccessRow(
-            access_id=self._access_counter,
-            ts=event.ts,
-            ctx_id=event.ctx_id,
-            txn_id=txn.txn_id,
-            alloc_id=allocation.alloc_id,
-            data_type=allocation.data_type,
-            subclass=allocation.subclass,
-            member=member.name,
-            access_type=access_type,
-            address=event.address,
-            size=event.size,
-            stack_id=event.stack_id,
-            file=event.file,
-            line=event.line,
-            lockseq=lockseq,
-            filter_reason=reason,
-        )
-        self.db.add_access(row)
-
-    # ------------------------------------------------------------------
-    # Lock-reference resolution
-    # ------------------------------------------------------------------
-
-    def _resolve_lockseq(
-        self, state: _CtxState, accessed: AllocationRow
-    ) -> LockSeq:
-        """Abstract every held lock relative to the accessed object."""
-        alloc_id = accessed.alloc_id
-        seq = state.seqs.get(alloc_id)
-        if seq is None:
-            scopes = self._scopes
-            seq = state.seqs[alloc_id] = dedup_refs(
-                [scopes[lock_id].ref(mode, alloc_id) for lock_id, mode, _ in state.held]
-            )
-        return seq
-
-    # ------------------------------------------------------------------
-    # Stack helpers
-    # ------------------------------------------------------------------
-
-    def _frames_of(self, stack_id: int) -> StackFrames:
-        """Bounds-checked stack lookup; corrupt ids resolve to no frames."""
-        if 0 <= stack_id < len(self._stack_table):
-            return self._stack_table[stack_id]
-        self.dangling_stack_refs += 1
-        return ()
-
-    def _functions_of(self, stack_id: int) -> FrozenSet[str]:
-        cached = self._stack_functions.get(stack_id)
-        if cached is None:
-            frames = self._frames_of(stack_id)
-            cached = frozenset(fn for fn, _, _ in frames)
-            self._stack_functions[stack_id] = cached
-        return cached
-
-    def _outer_function(self, stack_id: int) -> Optional[str]:
-        frames = self._frames_of(stack_id)
-        return frames[0][0] if frames else None
 
 
 def import_trace(

@@ -23,26 +23,26 @@ online,
 Equivalence contract
 --------------------
 
-The engine mirrors the importer's transaction state machine exactly
-(held stacks, close-on-lock-op, pseudo-transactions per outermost
-frame, lock-row resolution at first sight against the live-allocation
-index, ES/EO abstraction against the accessed object, Sec. 5.3
-filters).  On **protocol-clean traces** — every lock released before
-the trace ends, which the simulated scheduler guarantees — the
-streamed fold, derived rules and race reports are *bit-identical* to
-the post-mortem pipeline.  On damaged traces the divergence is exactly
-the importer's documented **retroactive repair set**: stale-lock span
-fences and hold-cap scrubbing re-write observations of transactions
-that already closed, which a forward-only pass cannot do.  The one
-repair both paths share is the synthesized close: transactions still
-open at end of stream are dropped from the fold here just as the
-importer quarantines them (``synthetic_close_txn``).
+The engine and the importer replay the trace through one transaction
+state machine, :class:`repro.db.replay.Replay` (held stacks,
+transaction and pseudo-transaction boundaries, lock identity at first
+sight, ES/EO abstraction, Sec. 5.3 filters, the end-of-trace close).
+The two paths differ only in the **repair set**, which is the
+importer's alone: quarantine instead of :class:`StreamProtocolError`,
+lost-release healing, and the retroactive stale-lock span fences and
+hold-cap scrubs that re-write transactions that already closed, which
+a forward-only pass cannot do.  So on **protocol-clean traces** —
+every lock released before the trace ends, which the simulated
+scheduler guarantees — the streamed fold, derived rules and race
+reports are *bit-identical* to the post-mortem pipeline.  Transactions
+still open at end of stream are dropped from the fold here just as
+the importer quarantines them (``synthetic_close_txn``).
 
 Allocation discipline
 ---------------------
 
 The steady-state hot path (an access to an already-seen member under
-an already-seen lock state) allocates nothing: member entries intern
+an already-seen lock state) allocates nothing: type members intern
 the fold keys, lockseq tuples are interned, filter verdicts are cached
 per ``(member, stack)``, and the per-transaction group table is a
 reused dict keyed by entry identity.  Allocations happen only on state
@@ -58,29 +58,17 @@ from typing import Dict, List, Mapping, Optional, Tuple
 # this direction (same convention as every other entry-point module).
 from repro.kernel.structs import StructRegistry
 
-from repro.analysis.happens import AccessStamp, HappensBeforeIndex, _learn
+from repro.analysis.happens import _NO_KNOWLEDGE, AccessStamp, HappensBeforeIndex, _learn
 from repro.analysis.lockset import _EMPTY, LocksetResult, MemberTrack
 from repro.analysis.racedetect import RaceReport, classify_candidates
 from repro.core.contention import ContentionReport, LockStats
 from repro.core.derivator import DerivationResult
-from repro.core.lockrefs import LockScope, LockSeq, RefPairs, dedup_refs
+from repro.core.lockrefs import LockScope, LockSeq
 from repro.core.observations import ObsKey
 from repro.db.filters import FilterConfig
-from repro.db.importer import _PSEUDO_CLASSES, _LiveIndex
-from repro.db.schema import AccessRow, AllocationRow
+from repro.db.replay import Ctx, MemberEntry, Replay
 from repro.stream.intervals import IntervalReport
 from repro.tracing.events import AccessEvent, AllocEvent, FreeEvent, LockEvent
-
-#: Shared empty knowledge map (mirror of happens._NO_KNOWLEDGE).
-_NO_KNOWLEDGE: Mapping[int, int] = {}
-
-#: Cache sentinels (``None`` is a meaningful cached value for both the
-#: filter verdict and the outer frame).
-_MISS = object()
-
-#: Interned verdict for addresses that resolve to no member (padding,
-#: unregistered type) — their accesses are filtered as untyped anyway.
-_UNTYPED = object()
 
 
 class StreamProtocolError(ValueError):
@@ -142,90 +130,28 @@ class StreamObservationTable:
         return self._counts.get((type_key, member, access_type), 0)
 
 
-class _MemberEntry:
-    """Interned identity of one live ``(allocation, member)`` pair.
-
-    Pre-computes everything the per-access hot path would otherwise
-    rebuild: the fold keys for both access types, the member kind, and
-    a per-stack filter-verdict cache shared across all allocations of
-    the same ``(data_type, member)``.
-    """
-
-    __slots__ = (
-        "alloc_id", "data_type", "subclass", "type_key", "member", "kind",
-        "key_r", "key_w", "reasons", "track",
-    )
-
-    def __init__(
-        self,
-        alloc_id: int,
-        data_type: str,
-        subclass: Optional[str],
-        member: str,
-        kind: str,
-        reasons: Dict[int, object],
-    ) -> None:
-        self.alloc_id = alloc_id
-        self.data_type = data_type
-        self.subclass = subclass
-        self.type_key = f"{data_type}:{subclass}" if subclass else data_type
-        self.member = member
-        self.kind = kind
-        self.key_r: ObsKey = (self.type_key, member, "r")
-        self.key_w: ObsKey = (self.type_key, member, "w")
-        self.reasons = reasons
-        self.track: Optional[MemberTrack] = None
-
-
-class _AllocState:
-    """Live-allocation bookkeeping: row + interned member entries."""
-
-    __slots__ = ("row", "entries", "addresses")
-
-    def __init__(self, row: AllocationRow) -> None:
-        self.row = row
-        self.entries: Dict[str, _MemberEntry] = {}
-        #: Addresses memoized in the engine's address cache — evicted
-        #: when this allocation is freed (addresses get reused).
-        self.addresses: List[int] = []
-
-
 class _LockInfo(LockScope):
-    """Resolved identity of one lock instance (importer semantics:
-    owner resolved against the live index at first sight) plus its
-    contention counters."""
+    """Resolved identity of one lock instance plus its contention
+    counters."""
 
     __slots__ = ("stats",)
 
 
-class _Ctx:
-    """Per-execution-context state: held stack + open transaction."""
+class _StreamCtx(Ctx):
+    """Per-execution-context state plus the open transaction's fold."""
 
-    __slots__ = (
-        "ctx_id", "held", "txn_open", "txn_id", "no_locks", "pseudo_frame",
-        "groups", "seq_cache", "held_sets", "kept_in_txn",
-    )
+    __slots__ = ("groups", "held_sets", "kept_in_txn")
 
-    def __init__(self, ctx_id: int) -> None:
-        self.ctx_id = ctx_id
-        #: Currently held locks: (lock_id, mode, acquire_ts, info).
-        self.held: List[Tuple[int, str, int, _LockInfo]] = []
-        self.txn_open = False
-        self.txn_id = 0
-        self.no_locks = False
-        self.pseudo_frame: Optional[str] = None
+    def __init__(self, ctx_id: int, rank: int) -> None:
+        super().__init__(ctx_id, rank)
         #: Open transaction's fold groups: entry -> [lockseq, has_write].
-        self.groups: Dict[_MemberEntry, List] = {}
-        #: Open transaction's per-allocation lockseq cache (the held set
-        #: is fixed for a transaction's lifetime, so one resolution per
-        #: accessed allocation suffices).
-        self.seq_cache: Dict[int, LockSeq] = {}
+        self.groups: Dict[MemberEntry, List] = {}
         #: Lazily built (all, write-mode) held lock-instance frozensets.
         self.held_sets: Optional[Tuple[frozenset, frozenset]] = None
         self.kept_in_txn = 0
 
 
-class StreamEngine:
+class StreamEngine(Replay):
     """Fused fold + lockset/HB + contention over a live event stream.
 
     The engine *is* the tracer's event sink: install it via
@@ -234,6 +160,9 @@ class StreamEngine:
     Call :meth:`finalize` once the workload finished, then query
     :attr:`table`, :meth:`contention_report`, :meth:`race_report`.
     """
+
+    _ctx_type = _StreamCtx
+    _scope_type = _LockInfo
 
     def __init__(
         self,
@@ -245,38 +174,16 @@ class StreamEngine:
         interval_callback=None,
         top: int = 5,
     ) -> None:
-        self.structs = structs
-        self.filters = filters or FilterConfig()
+        super().__init__(structs, filters)
         self.table = StreamObservationTable()
         self.tracer = None
 
-        # Event counters (TraceStats shape).
-        self.total_events = 0
+        # Event counters (TraceStats shape; ``total_events`` is the replay's).
         self.lock_ops = 0
         self.accesses = 0
         self.allocs = 0
         self.frees = 0
-        self.unmatched_releases = 0
-        self.synthesized_releases = 0
         self.synthetic_txns = 0
-
-        # Address / allocation resolution.
-        self._live = _LiveIndex()
-        self._alloc_state: Dict[int, _AllocState] = {}
-        self._addr_memo: Dict[int, object] = {}
-        #: (data_type, member) -> per-stack filter verdict cache,
-        #: shared across all allocations of that type.
-        self._reason_caches: Dict[Tuple[str, str], Dict[int, object]] = {}
-
-        # Locks, contexts, transactions.
-        self._locks: Dict[int, _LockInfo] = {}
-        self._ref_pairs: RefPairs = {}
-        self._ctx: Dict[int, _Ctx] = {}
-        self._txn_counter = 0
-        self._access_counter = 0
-        self._seq_intern: Dict[LockSeq, LockSeq] = {(): ()}
-        self._outer_fns: Dict[int, Optional[str]] = {}
-        self._stack_fns: Dict[int, frozenset] = {}
 
         # Contention (cumulative; intervals snapshot deltas).
         self.lock_stats: Dict[tuple, LockStats] = {}
@@ -349,70 +256,31 @@ class StreamEngine:
         if cls is AccessEvent:
             self._on_access(event, own)
         elif cls is LockEvent:
-            self._on_lock(event, own)
+            self.lock_ops += 1
+            if self._races:
+                self._order_lock(event, own)
+            self._on_lock(event)
         elif cls is AllocEvent:
+            self.allocs += 1
             self._on_alloc(event)
         elif cls is FreeEvent:
+            self.frees += 1
             self._on_free(event)
         else:
             raise StreamProtocolError(f"unknown event {event!r}")
 
-    # ------------------------------------------------------------------
-    # Event handlers (importer state-machine mirrors)
-    # ------------------------------------------------------------------
-
     def _on_access(self, event, own: int) -> None:
         ts, ctx_id, address, size, is_write, stack_id, file, line = event
         self.accesses += 1
-        self._access_counter += 1
-        ctx = self._ctx.get(ctx_id)
-        if ctx is None:
-            ctx = self._ctx[ctx_id] = _Ctx(ctx_id)
-
-        # Transaction assignment (mirror of Importer._on_access): under
-        # held locks the lock transaction is already open; lock-free
-        # runs group into pseudo-transactions per outermost frame.
-        if not ctx.held:
-            outer = self._outer_fns.get(stack_id, _MISS)
-            if outer is _MISS:
-                frames = self.tracer.stack(stack_id)
-                outer = frames[0][0] if frames else None
-                self._outer_fns[stack_id] = outer
-            if not ctx.txn_open or ctx.pseudo_frame != outer:
-                self._flush_txn(ctx)
-                self._open_txn(ctx, no_locks=True)
-                ctx.pseudo_frame = outer
-
-        # Address -> (allocation, member) resolution, memoized.
-        entry = self._addr_memo.get(address)
-        if entry is None:
-            entry = self._resolve_address(address)
-        if entry is _UNTYPED:
-            return
-
-        # Sec. 5.3 filters, verdict cached per (member, stack).
-        reasons = entry.reasons
-        reason = reasons.get(stack_id, _MISS)
-        if reason is _MISS:
-            functions = self._stack_fns.get(stack_id)
-            if functions is None:
-                functions = frozenset(
-                    fn for fn, _, _ in self.tracer.stack(stack_id)
-                )
-                self._stack_fns[stack_id] = functions
-            reason = self.filters.reason_for(
-                entry.data_type, entry.member, entry.kind, functions
-            )
-            reasons[stack_id] = reason
-        if reason is not None:
+        ctx = self._enter(ctx_id, ts, stack_id)
+        entry = self._entry_at(address)
+        member = entry.member
+        if member.name is None or self._verdict(member, stack_id) is not None:
             return
 
         # Kept: fold into the open transaction's groups.
         ctx.kept_in_txn += 1
-        seq = ctx.seq_cache.get(entry.alloc_id)
-        if seq is None:
-            seq = self._lockseq_for(ctx, entry.alloc_id)
-            ctx.seq_cache[entry.alloc_id] = seq
+        seq = self._lockseq(ctx, entry.alloc_id)
         group = ctx.groups.get(entry)
         if group is None:
             ctx.groups[entry] = [seq, is_write]
@@ -420,266 +288,102 @@ class StreamEngine:
             group[1] = True
 
         if self._races:
-            self._track_access(
-                entry, ctx, ts, ctx_id, address, size, is_write,
-                stack_id, file, line, seq, own,
-            )
+            self._track_access(event, ctx, entry, seq, own)
 
-    def _on_lock(self, event, own: int) -> None:
-        (ts, ctx_id, lock_id, lock_class, lock_name, address,
-         is_acquire, mode, _stack_id, _file, _line) = event
-        self.lock_ops += 1
-        ctx = self._ctx.get(ctx_id)
-        if ctx is None:
-            ctx = self._ctx[ctx_id] = _Ctx(ctx_id)
-        info = self._locks.get(lock_id)
-        if info is None:
-            info = self._make_lock_info(
-                lock_id, lock_class, lock_name, address
-            )
-        # Any lock operation is a transaction boundary.
-        self._flush_txn(ctx)
-        if is_acquire:
-            if self._races:
-                snapshot = self._hb_releases.get(lock_id)
-                if snapshot is not None:
-                    _learn(self._hb_knowledge, ctx_id, snapshot)
-            ctx.held.append((lock_id, mode, ts, info))
-            stats = info.stats
-            stats.acquisitions += 1
-            self.acquisitions += 1
-            if mode == "r":
-                stats.read_acquisitions += 1
-                self.read_acquisitions += 1
+    # ------------------------------------------------------------------
+    # Replay hooks
+    # ------------------------------------------------------------------
+
+    def _reject(self, event, reason: str, message: str) -> None:
+        raise StreamProtocolError(message)
+
+    def _frames_of(self, stack_id: int):
+        return self.tracer.stack(stack_id)
+
+    def _lock_seen(self, event, scope: _LockInfo, is_static, owner) -> None:
+        if scope.owner_type is None:
+            class_key = ("global", scope.name, None)
         else:
-            if self._races:
-                self._hb_releases[lock_id] = (
-                    ctx_id, own, self._hb_knowledge.get(ctx_id, _NO_KNOWLEDGE)
-                )
-            held = ctx.held
-            for index in range(len(held) - 1, -1, -1):
-                if held[index][0] == lock_id:
-                    span = ts - held[index][2]
-                    del held[index]
-                    stats = info.stats
-                    stats.total_hold_span += span
-                    if span > stats.max_hold_span:
-                        stats.max_hold_span = span
-                    self.hold_histogram[span.bit_length()] += 1
-                    self.releases += 1
-                    break
-            else:
-                self.unmatched_releases += 1
-        ctx.held_sets = None
-        if ctx.held:
-            self._open_txn(ctx, no_locks=False)
+            class_key = ("embedded", scope.owner_type, scope.name)
+        scope.stats = self.lock_stats.setdefault(class_key, LockStats(class_key))
 
-    def _on_alloc(self, event) -> None:
-        ts, ctx_id, alloc_id, address, size, data_type, subclass = event
-        self.allocs += 1
-        if alloc_id in self._alloc_state:
-            raise StreamProtocolError(f"duplicate allocation id {alloc_id}")
-        if self._live.overlaps(address, size):
-            raise StreamProtocolError(
-                f"allocation {alloc_id} overlaps a live allocation "
-                f"at {address:#x}"
-            )
-        row = AllocationRow(
-            alloc_id=alloc_id,
-            address=address,
-            size=size,
-            data_type=data_type,
-            subclass=subclass,
-            alloc_ts=ts,
-        )
-        self._live.insert(row)
-        self._alloc_state[alloc_id] = _AllocState(row)
-        # An allocation is an operation boundary for lock-free runs.
-        ctx = self._ctx.get(ctx_id)
-        if ctx is not None and ctx.txn_open and ctx.no_locks:
-            self._flush_txn(ctx)
+    def _acquire(self, ctx: _StreamCtx, event, scope: _LockInfo) -> None:
+        stats = scope.stats
+        stats.acquisitions += 1
+        self.acquisitions += 1
+        if event.mode == "r":
+            stats.read_acquisitions += 1
+            self.read_acquisitions += 1
 
-    def _on_free(self, event) -> None:
-        ts, ctx_id, alloc_id, _address = event
-        self.frees += 1
-        state = self._alloc_state.get(alloc_id)
-        if state is None or state.row.free_ts is not None:
-            raise StreamProtocolError(
-                f"free of unknown/dead allocation {alloc_id}"
-            )
-        state.row.free_ts = ts
-        self._live.remove(state.row)
-        if state.addresses:
-            memo = self._addr_memo
-            for addr in state.addresses:
-                memo.pop(addr, None)
-            state.addresses.clear()
-        ctx = self._ctx.get(ctx_id)
-        if ctx is not None and ctx.txn_open and ctx.no_locks:
-            self._flush_txn(ctx)
+    def _released(self, event, scope: _LockInfo, span: int) -> None:
+        stats = scope.stats
+        stats.total_hold_span += span
+        if span > stats.max_hold_span:
+            stats.max_hold_span = span
+        self.hold_histogram[span.bit_length()] += 1
+        self.releases += 1
 
-    # ------------------------------------------------------------------
-    # Resolution helpers (cold paths — each result is memoized)
-    # ------------------------------------------------------------------
-
-    def _resolve_address(self, address: int):
-        """Resolve *address* to an interned member entry (or the untyped
-        sentinel).  Only addresses inside a live allocation are
-        memoized — a dead address may be reused by a later allocation."""
-        alloc = self._live.find(address)
-        if alloc is None:
-            return _UNTYPED
-        state = self._alloc_state[alloc.alloc_id]
-        member = None
-        if alloc.data_type in self.structs:
-            try:
-                member = self.structs.get(alloc.data_type).member_at(
-                    address - alloc.address
-                )
-            except KeyError:
-                member = None
-        if member is None:
-            self._addr_memo[address] = _UNTYPED
-            state.addresses.append(address)
-            return _UNTYPED
-        entry = state.entries.get(member.name)
-        if entry is None:
-            reason_key = (alloc.data_type, member.name)
-            reasons = self._reason_caches.get(reason_key)
-            if reasons is None:
-                reasons = self._reason_caches[reason_key] = {}
-            entry = _MemberEntry(
-                alloc.alloc_id, alloc.data_type, alloc.subclass,
-                member.name, member.kind.value, reasons,
-            )
-            state.entries[member.name] = entry
-        self._addr_memo[address] = entry
-        state.addresses.append(address)
-        return entry
-
-    def _make_lock_info(
-        self,
-        lock_id: int,
-        lock_class: str,
-        lock_name: str,
-        address: Optional[int],
-    ) -> _LockInfo:
-        """Mirror of ``Importer._ensure_lock_row``: owner resolved
-        against the live index at the lock's first appearance."""
-        owner_alloc_id = owner_data_type = owner_member = None
-        is_static = address is None or lock_class in _PSEUDO_CLASSES
-        if address is not None:
-            owner = self._live.find(address)
-            if owner is not None:
-                owner_alloc_id = owner.alloc_id
-                owner_data_type = owner.data_type
-                member = None
-                if owner.data_type in self.structs:
-                    try:
-                        member = self.structs.get(owner.data_type).member_at(
-                            address - owner.address
-                        )
-                    except KeyError:
-                        member = None
-                owner_member = member.name if member is not None else None
-            else:
-                is_static = True
-        info = _LockInfo(
-            self._ref_pairs, lock_name, is_static, owner_alloc_id,
-            owner_member, owner_data_type,
-        )
-        if info.owner_type is None:
-            class_key = ("global", info.name, None)
-        else:
-            class_key = ("embedded", info.owner_type, info.name)
-        stats = self.lock_stats.get(class_key)
-        if stats is None:
-            stats = self.lock_stats[class_key] = LockStats(class_key)
-        info.stats = stats
-        self._locks[lock_id] = info
-        return info
-
-    def _lockseq_for(self, ctx: _Ctx, alloc_id: int) -> LockSeq:
-        """Abstract the held stack against the accessed allocation and
-        intern the resulting sequence (mirror of
-        ``Importer._resolve_lockseq`` + ``dedup_refs``)."""
-        refs = [info.ref(mode, alloc_id) for _, mode, _, info in ctx.held]
-        seq = dedup_refs(refs)
-        return self._seq_intern.setdefault(seq, seq)
-
-    # ------------------------------------------------------------------
-    # Transaction machinery
-    # ------------------------------------------------------------------
-
-    def _open_txn(self, ctx: _Ctx, no_locks: bool) -> None:
-        self._txn_counter += 1
-        ctx.txn_id = self._txn_counter
-        ctx.txn_open = True
-        ctx.no_locks = no_locks
-
-    def _flush_txn(self, ctx: _Ctx) -> None:
-        """Close the open transaction, folding its groups (mirror of the
-        ``(txn, alloc, member)`` grouping + write-over-read of
-        ``ObservationTable.from_database``)."""
-        if not ctx.txn_open:
-            return
+    def _txn_closed(self, ctx: _StreamCtx, end_ts: int) -> None:
+        """Fold the closing transaction's groups (the ``(txn, alloc,
+        member)`` grouping + write-over-read of
+        ``ObservationTable.from_database``) — or, for a transaction
+        closed by a synthesized release, drop them: the streaming twin
+        of the importer's synthetic-close quarantine."""
         groups = ctx.groups
-        if groups:
+        if ctx.synthetic_close:
+            self.synthetic_txns += 1
+            self.table.synthetic_excluded += ctx.kept_in_txn
+        elif groups:
             table = self.table
             for entry, group in groups.items():
-                table._add(entry.key_w if group[1] else entry.key_r, group[0])
-            groups.clear()
-            ctx.seq_cache.clear()
-        ctx.txn_open = False
-        ctx.no_locks = False
-        ctx.pseudo_frame = None
+                member = entry.member
+                table._add(member.key_w if group[1] else member.key_r, group[0])
+        groups.clear()
+        ctx.held_sets = None
         ctx.kept_in_txn = 0
 
-    def _drop_txn(self, ctx: _Ctx) -> None:
-        """Drop the open transaction's fold groups — the streaming twin
-        of the importer's synthetic-close quarantine."""
-        self.table.synthetic_excluded += ctx.kept_in_txn
-        if ctx.groups:
-            ctx.groups.clear()
-            ctx.seq_cache.clear()
-        ctx.txn_open = False
-        ctx.no_locks = False
-        ctx.pseudo_frame = None
-        ctx.kept_in_txn = 0
+    def _release_lost(self, ctx: _StreamCtx, final_ts: int) -> None:
+        # Span unknown: the acquisitions leave the contention counts
+        # (as in the repaired ``build_contention``).
+        scopes = self._scopes
+        for lock_id, mode, _ in ctx.held:
+            stats = scopes[lock_id].stats
+            stats.acquisitions -= 1
+            self.acquisitions -= 1
+            if mode == "r":
+                stats.read_acquisitions -= 1
+                self.read_acquisitions -= 1
+            self.synthetic_closes += 1
+
+    def _order_lock(self, event, own: int) -> None:
+        """Happens-before: an acquire learns what the lock's last
+        releaser knew; a release publishes what its context knows."""
+        ctx_id, lock_id = event[1], event[2]
+        if event.is_acquire:
+            snapshot = self._hb_releases.get(lock_id)
+            if snapshot is not None:
+                _learn(self._hb_knowledge, ctx_id, snapshot)
+        else:
+            self._hb_releases[lock_id] = (
+                ctx_id, own, self._hb_knowledge.get(ctx_id, _NO_KNOWLEDGE)
+            )
 
     def _track_access(
-        self, entry, ctx, ts, ctx_id, address, size, is_write,
-        stack_id, file, line, seq, own,
+        self, event, ctx: _StreamCtx, entry: MemberEntry, seq: LockSeq, own: int
     ) -> None:
         """Race-mode bookkeeping for one kept access: lockset state
         advance (eager — the held set is fixed while a transaction is
         open) plus the happens-before stamp."""
-        row = AccessRow(
-            access_id=self._access_counter,
-            ts=ts,
-            ctx_id=ctx_id,
-            txn_id=ctx.txn_id,
-            alloc_id=entry.alloc_id,
-            data_type=entry.data_type,
-            subclass=entry.subclass,
-            member=entry.member,
-            access_type="w" if is_write else "r",
-            address=address,
-            size=size,
-            stack_id=stack_id,
-            file=file,
-            line=line,
-            lockseq=seq,
-        )
+        row = self._access_row(event, ctx, entry, seq, None)
         track = entry.track
         if track is None:
             track = MemberTrack(
                 alloc_id=entry.alloc_id,
-                member=entry.member,
-                type_key=entry.type_key,
+                member=entry.member.name,
+                type_key=entry.member.type_key,
             )
             entry.track = track
-            self._tracks[(entry.alloc_id, entry.member)] = track
+            self._tracks[(entry.alloc_id, entry.member.name)] = track
         held_sets = ctx.held_sets
         if held_sets is None:
             held = ctx.held
@@ -690,6 +394,7 @@ class StreamEngine:
                 all_ids = write_ids = _EMPTY
             held_sets = ctx.held_sets = (all_ids, write_ids)
         track.apply(row, held_sets)
+        ts, ctx_id = row.ts, row.ctx_id
         self._stamps[ts] = AccessStamp(
             ts=ts,
             ctx_id=ctx_id,
@@ -753,35 +458,16 @@ class StreamEngine:
     def finalize(self) -> None:
         """Close dangling state at end of stream.
 
-        Transactions still open under held locks are the importer's
-        ``synthetic_close`` set: their fold groups are dropped, their
-        acquisitions removed from the contention counts (span unknown —
-        mirrors the repaired ``build_contention``).  Lock-free pseudo
-        transactions flush normally, exactly like the importer's
-        ``_finalize`` close.
+        Transactions still open under held locks get the replay
+        machine's synthesized close, the importer's ``synthetic_close``
+        set: their fold groups are dropped, their acquisitions removed
+        from the contention counts.  Lock-free pseudo transactions
+        flush normally.
         """
         if self._finalized:
             return
         self._finalized = True
-        for ctx in self._ctx.values():
-            if ctx.held:
-                self.synthesized_releases += len(ctx.held)
-                for _, mode, _, info in ctx.held:
-                    stats = info.stats
-                    stats.acquisitions -= 1
-                    if mode == "r":
-                        stats.read_acquisitions -= 1
-                    self.acquisitions -= 1
-                    if mode == "r":
-                        self.read_acquisitions -= 1
-                    self.synthetic_closes += 1
-                ctx.held.clear()
-                ctx.held_sets = None
-                if ctx.txn_open:
-                    self.synthetic_txns += 1
-                self._drop_txn(ctx)
-            else:
-                self._flush_txn(ctx)
+        self._finish(0)  # the fold keeps no timestamps
         if self._interval is not None and self.total_events > self._prev_events:
             # Close the final (possibly partial) window at end of stream.
             end = self.tracer.clock + 1 if self.tracer is not None else (

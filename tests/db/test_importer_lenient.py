@@ -387,14 +387,25 @@ class TestTraceHealth:
         assert "error budget" in text
 
     def test_dangling_stack_ref_counted(self, world):
+        """Each access with an out-of-range stack id counts once —
+        lock-free or under a held lock — however often the importer
+        looks the stack up."""
         rt, ctx = world
         obj = rt.new_object(ctx, "pair")
-        rt.tracer.record_access(ctx, obj.addr_of("a"), 8, is_write=True)
+        for _ in range(2):
+            rt.tracer.record_access(ctx, obj.addr_of("a"), 8, is_write=True)
+        rt.run(rt.spin_lock(ctx, obj.lock("lock_a")))
+        for _ in range(2):
+            rt.tracer.record_access(ctx, obj.addr_of("a"), 8, is_write=True)
+        rt.spin_unlock(ctx, obj.lock("lock_a"))
         events, stacks = _trace_of(rt)
-        events = [
-            event._replace(stack_id=424242) if hasattr(event, "stack_id") else event
-            for event in events
-        ]
-        importer = _run(events, stacks, rt.structs, LENIENT_POLICY)
-        assert importer.dangling_stack_refs > 0
-        assert importer.health().dangling_stack_refs > 0
+        accesses = [i for i, e in enumerate(events) if isinstance(e, AccessEvent)]
+        assert len(accesses) == 4
+        for dangling in (accesses[:2], accesses[2:]):
+            damaged = [
+                event._replace(stack_id=424242) if i in dangling else event
+                for i, event in enumerate(events)
+            ]
+            importer = _run(damaged, stacks, rt.structs, LENIENT_POLICY)
+            assert importer.dangling_stack_refs == 2
+            assert importer.health().dangling_stack_refs == 2

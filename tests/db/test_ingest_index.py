@@ -19,7 +19,8 @@ from typing import List, Tuple
 import pytest
 
 from repro.db.database import TraceDatabase
-from repro.db.importer import Importer, ImportPolicy, _PSEUDO_CLASSES
+from repro.db.importer import Importer, ImportPolicy
+from repro.db.replay import PSEUDO_CLASSES
 from repro.db.sqlbackend import TABLES_SQL
 from repro.db.sqlstore import SpoolDatabase
 from repro.faults import ALL_OPERATOR_SPECS, COMPOSED_SPEC, FaultPlan
@@ -51,7 +52,7 @@ class ScanAllImporter(Importer):
     """Foreign-holder healing by scanning every context ever seen."""
 
     def _heal_foreign_holders(self, event: LockEvent) -> None:
-        if event.lock_class in _PSEUDO_CLASSES:
+        if event.lock_class in PSEUDO_CLASSES:
             return
         for ctx_id, state in self._ctx.items():
             if ctx_id == event.ctx_id:
@@ -60,7 +61,7 @@ class ScanAllImporter(Importer):
                 if state.held[index][0] == event.lock_id and (
                     event.mode == "w" or state.held[index][1] == "w"
                 ):
-                    _, mode, acquire_ts = self._pop_held(ctx_id, state, index)
+                    _, mode, acquire_ts = self._pop_held(state, index)
                     self.healed_releases += 1
                     self._fences.append(
                         (ctx_id, event.lock_id, mode, acquire_ts, event.ts)

@@ -15,12 +15,13 @@ import repro.kernel  # noqa: F401  (kernel-first import convention)
 from repro import cli
 from repro.core.derivator import Derivator
 from repro.core.observations import ObservationTable
-from repro.db.importer import import_tracer
+from repro.db.importer import Importer, ImportError_, import_tracer
 from repro.kernel.runtime import KernelRuntime
 from repro.kernel.structs import StructRegistry
 from repro.serve import ops
-from repro.stream import StreamEngine, run_streamed
+from repro.stream import StreamEngine, StreamProtocolError, run_streamed
 from repro.stream.runner import run_derive_streamed, run_races_streamed
+from repro.tracing.events import AllocEvent, FreeEvent
 from repro.tracing.tracer import install_sink_factory
 from repro.workloads import registry
 from tests.conftest import make_pair_struct
@@ -277,3 +278,36 @@ def test_engine_rejects_lockset_queries_without_races():
     run = run_streamed("racer", 0, 1.0)
     with pytest.raises(ValueError):
         run.engine.lockset_result()
+
+
+# ---------------------------------------------------------------------
+# Strict protocol violations
+# ---------------------------------------------------------------------
+
+_ALLOC = AllocEvent(1, 1, 1, 0x1000, 64, "pair", None)
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        ([_ALLOC, AllocEvent(2, 1, 1, 0x2000, 64, "pair", None)],
+         "duplicate allocation id 1"),
+        ([_ALLOC, AllocEvent(2, 1, 2, 0x1020, 64, "pair", None)],
+         "allocation 2 overlaps a live allocation at 0x1020"),
+        ([FreeEvent(1, 1, 9, 0x1000)], "free of unknown/dead allocation 9"),
+        ([_ALLOC, FreeEvent(2, 1, 1, 0x1000), FreeEvent(3, 1, 1, 0x1000)],
+         "free of unknown/dead allocation 1"),
+    ],
+    ids=["duplicate-alloc", "overlapping-alloc", "free-unknown", "free-dead"],
+)
+def test_strict_rejection_parity(events, message):
+    """The strict importer and the engine reject the same protocol
+    violation with the same message, each with its own error type."""
+    structs = StructRegistry([make_pair_struct()])
+    with pytest.raises(ImportError_) as imported:
+        Importer(structs).run(events, [()])
+    engine = StreamEngine(structs)
+    with pytest.raises(StreamProtocolError) as streamed:
+        for event in events:
+            engine.append(event)
+    assert str(imported.value) == str(streamed.value) == message
