@@ -1,9 +1,10 @@
 """The pre-memoization serial derivation path, preserved for benchmarking.
 
 This is the engine as it stood before the parallel/memoized rewrite:
-for every target it re-folds the raw observations into a Counter and
+for every target it recounts the lock sequences into a Counter and
 re-runs ``enumerate_and_score`` from scratch — no profile sharing, no
-incremental fold.  The benchmark harness times it as the "serial
+cached sequence lists.  (It once rescanned the observation rows; the
+table now keeps only per-sequence groups, so it recounts those.)  The benchmark harness times it as the "serial
 baseline" so ``BENCH_derive.json``'s speedup numbers measure the new
 engine against the code it replaced, and asserts its output still
 equals the new engine's (the optimization must be behaviour-free).
@@ -19,10 +20,10 @@ from repro.core.observations import ObservationTable
 
 
 def fold_sequences(table: ObservationTable, key):
-    """The old ``ObservationTable.sequences``: rescan and count."""
+    """The old ``ObservationTable.sequences``: recount and sort."""
     counter: Counter = Counter()
-    for obs in table.get(*key):
-        counter[obs.lockseq] += 1
+    for lockseq, group in table.groups(*key).items():
+        counter[lockseq] += group.observations
     return sorted(counter.items(), key=lambda item: (-item[1], item[0]))
 
 

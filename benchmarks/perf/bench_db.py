@@ -9,7 +9,7 @@ Gates the promotion of SQLite to a first-class query backend
   fault-corrupted (2% event drops) mix trace.
 * **memory** — peak traced-allocation bytes (the same peak-RSS proxy
   :mod:`tracemalloc` gives bench_trace) of the full SQLite derive path
-  — store build + columnar fold + ``Derivator.derive`` — at
+  — store build + one-scan fold + ``Derivator.derive`` — at
   ``--scale-factor``× the base scale must stay *below* the in-memory
   path's peak at the base scale: resident memory must not grow
   linearly with trace length.

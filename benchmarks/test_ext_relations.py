@@ -12,9 +12,7 @@ from repro.core.relations import RelationKind, analyze_relations
 
 def test_ext_relations(benchmark, pipeline):
     derivation = pipeline.derive()
-    report = benchmark(
-        analyze_relations, derivation, pipeline.table, pipeline.db
-    )
+    report = benchmark(analyze_relations, derivation, pipeline.db)
     emit("Extension — EO-rule object relations", report.render())
 
     # The ground truth's known relationships classify correctly:

@@ -33,20 +33,19 @@ def test_ext_sql_backend(benchmark, pipeline):
     # observation — including reads a write-over-read group absorbed
     # (Tab. 1 semantics); the SQL pass counts raw write rows only.  The
     # write rows must agree exactly.
+    from repro.core.observations import fold_accesses
     from repro.core.rules import complies
 
     violating_obs = [
-        obs
-        for obs in pipeline.table.get("buffer_head", "b_state", "w")
-        if not complies(obs.lockseq, target.rule)
+        rows
+        for key, lockseq, rows in fold_accesses(pipeline.db.kept_accesses())
+        if key == ("buffer_head", "b_state", "w")
+        and not complies(lockseq, target.rule)
     ]
     python_write_rows = sum(
-        1
-        for obs in violating_obs
-        for access in obs.accesses
-        if access.access_type == "w"
+        1 for rows in violating_obs for access in rows if access.access_type == "w"
     )
-    python_all_rows = sum(len(obs.accesses) for obs in violating_obs)
+    python_all_rows = sum(len(rows) for rows in violating_obs)
     assert python_write_rows > 0
     assert len(sql_hits) == python_write_rows
     # sanity: the Python finder's event count covers at least those rows

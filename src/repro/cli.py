@@ -694,7 +694,7 @@ def _cmd_relations(args) -> int:
     from repro.core.relations import analyze_relations
 
     pipeline = _pipeline(args)
-    report = analyze_relations(pipeline.derive(), pipeline.table, pipeline.db)
+    report = analyze_relations(pipeline.derive(), pipeline.db)
     print(report.render())
     return 0
 

@@ -8,58 +8,89 @@ treated as a write ("WoR" — *write over read*), because write rules are
 typically more restrictive and it is unclear which access motivated the
 locks.
 
-An :class:`Observation` is one ``(transaction, object, member)`` group:
-its access type after WoR, the abstract lock sequence in force, and the
-underlying access rows (kept for violation reporting).
-
-A table loaded from the cache's pickle keeps each target's
-observations packed as tuples until the first :meth:`ObservationTable.get`
-of that target: derivation and the documented-rule checker read only
-the per-target sequence counts, so they never pay for the rows.
+One observation is one ``(transaction, object, member)`` group of
+access rows.  Consumers read only aggregates of the observations of a
+target under one lock sequence: derivation and the documented-rule
+checker read their count, the violation finder (Sec. 5.5) their access
+count, stack ids, locations and earliest access.  So the table keeps
+one :class:`FoldGroup` per (target, lock sequence) instead of the rows.
+The in-memory import (:meth:`ObservationTable.from_database`), the
+SQLite store's scan and the stream engine all fill it.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import (
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.core.lockrefs import LockSeq
-from repro.db.database import (
-    LockSeqTable,
-    PackedAccess,
-    TraceDatabase,
-    pack_accesses,
-    unpack_accesses,
-)
+from repro.db.database import TraceDatabase
 from repro.db.filters import REASON_STALE_LOCK, REASON_SYNTHETIC_TXN
 from repro.db.schema import AccessRow
 
 #: Key identifying one derivation target.
 ObsKey = Tuple[str, str, str]  # (type_key, member, access_type)
 
-#: An :class:`Observation` as pickled: ``(txn_id, alloc_id,
-#: lockseq index, mixed, packed access rows)``.  Its target key supplies
-#: ``type_key``, ``member`` and ``access_type``.
-PackedObservation = Tuple[Optional[int], int, int, bool, List[PackedAccess]]
-
 READ = "r"
 WRITE = "w"
 
 
-@dataclass
-class Observation:
-    """One folded (txn, object, member) observation."""
+class Sample(NamedTuple):
+    """One access as the violation report shows it (Tab. 8)."""
 
-    txn_id: Optional[int]
-    alloc_id: int
-    type_key: str
-    member: str
-    access_type: str  # after write-over-read
-    lockseq: LockSeq
-    accesses: Tuple[AccessRow, ...]
-    #: True if the group contained both reads and writes (WoR applied).
-    mixed: bool = False
+    #: Trace order: the access id.
+    position: int
+    file: str
+    line: int
+    stack_id: int
+
+
+@dataclass
+class FoldGroup:
+    """The observations of one target under one lock sequence."""
+
+    #: The earliest access of the group in trace order.
+    first: Sample
+    observations: int = 0
+    accesses: int = 0
+    stacks: Set[int] = field(default_factory=set)
+    locations: Set[Tuple[str, int]] = field(default_factory=set)
+
+
+def fold_accesses(
+    rows: Iterable[AccessRow],
+    split_subclasses: bool = True,
+    write_over_read: bool = True,
+) -> Iterator[Tuple[ObsKey, LockSeq, List[AccessRow]]]:
+    """Group kept access rows into observations.
+
+    Rows group by ``(txn, alloc, member)``; each group yields its
+    target, its lock sequence and its rows — after write-over-read, or
+    split into a write and a read observation without it — in order of
+    the group's first row.
+    """
+    groups: Dict[Tuple[Optional[int], int, str], List[AccessRow]] = defaultdict(list)
+    for access in rows:
+        groups[(access.txn_id, access.alloc_id, access.member)].append(access)
+    for group in groups.values():
+        first = group[0]
+        type_key = first.type_key if split_subclasses else first.data_type
+        writes = [r for r in group if r.access_type == WRITE]
+        if write_over_read:
+            access_type = WRITE if writes else READ
+            yield (type_key, first.member, access_type), first.lockseq, group
+            continue
+        reads = [r for r in group if r.access_type == READ]
+        for access_type, part in ((WRITE, writes), (READ, reads)):
+            if part:
+                yield (type_key, first.member, access_type), first.lockseq, part
+
+
+def _by_count(counts: Dict[LockSeq, int]) -> List[Tuple[LockSeq, int]]:
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 class ObservationTable:
@@ -68,16 +99,8 @@ class ObservationTable:
     def __init__(self, split_subclasses: bool = True, write_over_read: bool = True):
         self.split_subclasses = split_subclasses
         self.write_over_read = write_over_read
-        self._by_key: Dict[ObsKey, List[Observation]] = defaultdict(list)
-        #: Incrementally maintained fold: per-target lockseq counts,
-        #: updated on every append so :meth:`sequences` — the first step
-        #: of the derivation hot path — never rescans raw observations.
-        self._seq_counts: Dict[ObsKey, Counter] = defaultdict(Counter)
+        self._groups: Dict[ObsKey, Dict[LockSeq, FoldGroup]] = {}
         self._sorted_seqs: Dict[ObsKey, List[Tuple[LockSeq, int]]] = {}
-        #: Targets of a loaded table not yet asked for by :meth:`get`,
-        #: and the lock-sequence table their packed rows index into.
-        self._packed: Dict[ObsKey, List[PackedObservation]] = {}
-        self._lockseqs: List[LockSeq] = []
         self.total = 0
         #: Accesses excluded because the importer quarantined their
         #: transaction (synthetic close) — rules are mined only over
@@ -96,11 +119,7 @@ class ObservationTable:
         write_over_read: bool = True,
     ) -> "ObservationTable":
         table = cls(split_subclasses, write_over_read)
-        groups: Dict[Tuple[Optional[int], int, str], List[AccessRow]] = defaultdict(list)
-        for access in db.kept_accesses():
-            groups[(access.txn_id, access.alloc_id, access.member)].append(access)
-        for (txn_id, alloc_id, member), rows in groups.items():
-            table._add_group(txn_id, alloc_id, member, rows)
+        table.add_accesses(db.kept_accesses())
         table.synthetic_excluded = sum(
             1
             for a in db.accesses
@@ -108,163 +127,104 @@ class ObservationTable:
         )
         return table
 
-    def _type_key(self, row: AccessRow) -> str:
-        if self.split_subclasses:
-            return row.type_key
-        return row.data_type
-
-    def _add_group(
+    def add(
         self,
-        txn_id: Optional[int],
-        alloc_id: int,
-        member: str,
-        rows: List[AccessRow],
+        key: ObsKey,
+        lockseq: LockSeq,
+        first: Tuple[int, str, int, int],
+        observations: int,
+        accesses: int,
+        stacks: Iterable[int],
+        locations: Iterable[Tuple[str, int]],
     ) -> None:
-        reads = [r for r in rows if r.access_type == READ]
-        writes = [r for r in rows if r.access_type == WRITE]
-        type_key = self._type_key(rows[0])
-        lockseq = rows[0].lockseq
-        if self.write_over_read:
-            if writes:
-                self._append(
-                    Observation(
-                        txn_id,
-                        alloc_id,
-                        type_key,
-                        member,
-                        WRITE,
-                        lockseq,
-                        tuple(rows),
-                        mixed=bool(reads),
-                    )
-                )
-            else:
-                self._append(
-                    Observation(
-                        txn_id, alloc_id, type_key, member, READ, lockseq, tuple(rows)
-                    )
-                )
-        else:
-            if writes:
-                self._append(
-                    Observation(
-                        txn_id, alloc_id, type_key, member, WRITE, lockseq, tuple(writes)
-                    )
-                )
-            if reads:
-                self._append(
-                    Observation(
-                        txn_id, alloc_id, type_key, member, READ, lockseq, tuple(reads)
-                    )
-                )
+        """Fold observations of *key* under *lockseq* into its group;
+        *first* is their earliest access as the fields of a
+        :class:`Sample`."""
+        groups = self._groups.get(key)
+        if groups is None:
+            groups = self._groups[key] = {}
+        group = groups.get(lockseq)
+        if group is None:
+            group = groups[lockseq] = FoldGroup(Sample(*first))
+        elif first[0] < group.first.position:
+            group.first = Sample(*first)
+        group.observations += observations
+        group.accesses += accesses
+        group.stacks.update(stacks)
+        group.locations.update(locations)
+        self.total += observations
+        if self._sorted_seqs:
+            self._sorted_seqs.pop(key, None)
 
-    def _append(self, obs: Observation) -> None:
-        key = (obs.type_key, obs.member, obs.access_type)
-        self._by_key[key].append(obs)
-        self._seq_counts[key][obs.lockseq] += 1
-        self._sorted_seqs.pop(key, None)
-        self.total += 1
+    def add_accesses(self, rows: Iterable[AccessRow]) -> None:
+        """Fold the kept access rows of one trace in.
 
-    # ------------------------------------------------------------------
-    # Pickled layout (the cache's ``table-*`` artifacts)
-    # ------------------------------------------------------------------
+        Rows added by a later call count as later in trace order than
+        every access folded before (their ids are per trace).
+        """
+        offset = 1 + max(
+            (group.first.position for groups in self._groups.values()
+             for group in groups.values()),
+            default=-1,
+        )
+        for key, lockseq, group in fold_accesses(
+            rows, self.split_subclasses, self.write_over_read
+        ):
+            first = group[0]
+            self.add(
+                key, lockseq,
+                (offset + first.access_id, first.file, first.line, first.stack_id),
+                1, len(group),
+                [row.stack_id for row in group],
+                [(row.file, row.line) for row in group],
+            )
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Extending the loaded sequence table keeps the indexes of
-        # still-packed targets valid.
-        seqs = LockSeqTable(self._lockseqs)
-        targets = []
-        for key, counts in self._seq_counts.items():
-            packed = self._packed.get(key)
-            if packed is None:
-                packed = [
-                    (obs.txn_id, obs.alloc_id, seqs.index(obs.lockseq),
-                     obs.mixed, pack_accesses(obs.accesses, seqs))
-                    for obs in self._by_key[key]
-                ]
-            targets.append((
-                key,
-                [(seqs.index(seq), count) for seq, count in counts.items()],
-                packed,
-            ))
-        return {
-            "split_subclasses": self.split_subclasses,
-            "write_over_read": self.write_over_read,
-            "total": self.total,
-            "synthetic_excluded": self.synthetic_excluded,
-            "lockseqs": seqs.seqs,
-            "targets": targets,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(state["split_subclasses"], state["write_over_read"])
-        self.total = state["total"]
-        self.synthetic_excluded = state["synthetic_excluded"]
-        seqs = self._lockseqs = state["lockseqs"]
-        for key, counts, packed in state["targets"]:
-            self._seq_counts[key] = Counter(
-                {seqs[index]: count for index, count in counts}
-            )
-            self._packed[key] = packed
-
-    def _decode(self, key: ObsKey) -> List[Observation]:
-        """Unpack one target's observations (first :meth:`get` of it)."""
-        type_key, member, access_type = key
-        seqs = self._lockseqs
-        observations = self._by_key[key] = [
-            Observation(
-                txn_id, alloc_id, type_key, member, access_type, seqs[seq],
-                tuple(unpack_accesses(rows, seqs)), mixed,
-            )
-            for txn_id, alloc_id, seq, mixed, rows in self._packed.pop(key)
-        ]
-        return observations
+        state = dict(self.__dict__)
+        state["_sorted_seqs"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    #
-    # Every target has at least one observation, so ``_seq_counts``
-    # lists every target whether or not its observations are packed.
 
     def keys(self) -> List[ObsKey]:
-        return sorted(self._seq_counts)
+        return sorted(self._groups)
 
     def type_keys(self) -> List[str]:
-        return sorted({key[0] for key in self._seq_counts})
+        return sorted({key[0] for key in self._groups})
 
     def members_of(self, type_key: str) -> List[str]:
-        return sorted({m for (tk, m, _) in self._seq_counts if tk == type_key})
+        return sorted({m for (tk, m, _) in self._groups if tk == type_key})
 
-    def get(self, type_key: str, member: str, access_type: str) -> List[Observation]:
-        key = (type_key, member, access_type)
-        observations = self._by_key.get(key)
-        if observations is None:
-            if key in self._packed:
-                return self._decode(key)
-            return []
-        return observations
+    def groups(
+        self, type_key: str, member: str, access_type: str
+    ) -> Dict[LockSeq, FoldGroup]:
+        """The target's groups by lock sequence (do not mutate)."""
+        return self._groups.get((type_key, member, access_type), {})
 
     def sequences(
         self, type_key: str, member: str, access_type: str
     ) -> List[Tuple[LockSeq, int]]:
-        """Distinct lock sequences with observation counts.
-
-        Served from the incrementally maintained fold; the returned
-        list is cached and shared — callers must not mutate it.
-        """
+        """Distinct lock sequences with observation counts, most
+        frequent first.  The returned list is cached and shared —
+        callers must not mutate it."""
         key = (type_key, member, access_type)
         cached = self._sorted_seqs.get(key)
         if cached is None:
-            counter = self._seq_counts.get(key)
-            if not counter:
+            groups = self._groups.get(key)
+            if not groups:
                 return []
-            cached = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-            self._sorted_seqs[key] = cached
+            cached = self._sorted_seqs[key] = _by_count(
+                {seq: group.observations for seq, group in groups.items()}
+            )
         return cached
 
     def observation_count(self, type_key: str, member: str, access_type: str) -> int:
-        return sum(self._seq_counts.get((type_key, member, access_type), {}).values())
+        return sum(
+            group.observations
+            for group in self.groups(type_key, member, access_type).values()
+        )
 
     # ------------------------------------------------------------------
     # Base-type (subclass-merging) queries
@@ -282,21 +242,14 @@ class ObservationTable:
             if tk == data_type or tk.startswith(prefix)
         ]
 
-    def merged_get(
-        self, data_type: str, member: str, access_type: str
-    ) -> List[Observation]:
-        merged: List[Observation] = []
-        for type_key in self.base_keys(data_type):
-            merged.extend(self.get(type_key, member, access_type))
-        return merged
-
     def merged_sequences(
         self, data_type: str, member: str, access_type: str
     ) -> List[Tuple[LockSeq, int]]:
-        counter: Counter = Counter()
+        counts: Dict[LockSeq, int] = defaultdict(int)
         for type_key in self.base_keys(data_type):
-            counter.update(self._seq_counts.get((type_key, member, access_type), ()))
-        return sorted(counter.items(), key=lambda item: (-item[1], item[0]))
+            for seq, group in self.groups(type_key, member, access_type).items():
+                counts[seq] += group.observations
+        return _by_count(counts)
 
     def merged_members_of(self, data_type: str) -> List[str]:
         members = set()

@@ -30,11 +30,11 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.derivator import DerivationResult
 from repro.core.lockrefs import LockRef, Scope
-from repro.core.observations import ObservationTable
+from repro.core.observations import ObsKey, fold_accesses
 from repro.core.report import render_table
 from repro.db.database import TraceDatabase
 
@@ -132,7 +132,6 @@ def _eo_owner_for(
 
 def analyze_relations(
     derivation: DerivationResult,
-    table: ObservationTable,
     db: TraceDatabase,
     min_objects: int = 3,
 ) -> RelationReport:
@@ -142,20 +141,25 @@ def analyze_relations(
     reported as ``UNKNOWN`` (a single object cannot distinguish owner
     from container).
     """
+    # The only fold consumer that needs each observation's transaction
+    # and object, so it groups the rows itself.
+    observed: Dict[ObsKey, List[Tuple[Optional[int], int]]] = defaultdict(list)
+    for key, _, rows in fold_accesses(db.kept_accesses()):
+        observed[key].append((rows[0].txn_id, rows[0].alloc_id))
     relations: List[EoRelation] = []
     for target in derivation.all():
         eo_refs = [r for r in target.rule.locks if r.scope == Scope.EO]
         if not eo_refs:
             continue
-        observations = table.get(
-            target.type_key, target.member, target.access_type
+        observations = observed.get(
+            (target.type_key, target.member, target.access_type), ()
         )
         for ref in eo_refs:
             owners_per_object: Dict[int, Set[int]] = defaultdict(set)
-            for obs in observations:
-                owner = _eo_owner_for(db, obs.txn_id, ref)
+            for txn_id, alloc_id in observations:
+                owner = _eo_owner_for(db, txn_id, ref)
                 if owner is not None:
-                    owners_per_object[obs.alloc_id].add(owner)
+                    owners_per_object[alloc_id].add(owner)
             if not owners_per_object:
                 continue
             accessed = len(owners_per_object)

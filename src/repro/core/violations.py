@@ -20,9 +20,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.derivator import DerivationResult
 from repro.core.lockrefs import LockSeq
-from repro.core.observations import Observation, ObservationTable
+from repro.core.observations import ObservationTable, Sample
 from repro.core.rules import LockingRule, complies
-from repro.db.schema import AccessRow
 
 
 @dataclass
@@ -37,7 +36,7 @@ class Violation:
     events: int = 0
     contexts: Set[int] = field(default_factory=set)  # stack ids
     locations: Set[Tuple[str, int]] = field(default_factory=set)
-    sample: Optional[AccessRow] = None
+    sample: Optional[Sample] = None
 
     def format(self) -> str:
         held = " -> ".join(ref.format() for ref in self.held) or "(none)"
@@ -67,43 +66,32 @@ class ViolationFinder:
         self.table = table
 
     def find(self) -> List[Violation]:
-        """All violations, grouped by (target, held-lock sequence)."""
-        grouped: Dict[Tuple[str, str, str, LockSeq], Violation] = {}
+        """One violation per non-complying (target, held-lock sequence)
+        group: most events first, ties in derivation order and, within
+        a target, by the group's first access."""
+        violations = []
         for derivation in self.result.all():
             rule = derivation.rule
             if derivation.winner.s_r >= 1.0:
                 continue  # fully supported rules have no counterexamples
-            observations = self.table.get(
-                derivation.type_key, derivation.member, derivation.access_type
+            key = (derivation.type_key, derivation.member, derivation.access_type)
+            groups = sorted(
+                self.table.groups(*key).items(),
+                key=lambda item: item[1].first.position,
             )
-            for obs in observations:
-                if complies(obs.lockseq, rule):
-                    continue
-                key = (obs.type_key, obs.member, obs.access_type, obs.lockseq)
-                violation = grouped.get(key)
-                if violation is None:
-                    violation = Violation(
-                        type_key=obs.type_key,
-                        member=obs.member,
-                        access_type=obs.access_type,
-                        rule=rule,
-                        held=obs.lockseq,
-                    )
-                    grouped[key] = violation
-                self._account(violation, obs)
+            violations.extend(
+                Violation(
+                    *key, rule=rule, held=held, events=group.accesses,
+                    contexts=set(group.stacks),
+                    locations=set(group.locations), sample=group.first,
+                )
+                for held, group in groups
+                if not complies(held, rule)
+            )
         return sorted(
-            grouped.values(),
+            violations,
             key=lambda v: (-v.events, v.type_key, v.member, v.access_type),
         )
-
-    @staticmethod
-    def _account(violation: Violation, obs: Observation) -> None:
-        for access in obs.accesses:
-            violation.events += 1
-            violation.contexts.add(access.stack_id)
-            violation.locations.add((access.file, access.line))
-            if violation.sample is None:
-                violation.sample = access
 
 
 def summarize(

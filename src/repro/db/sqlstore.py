@@ -20,12 +20,10 @@ step (Sec. 5.3), the import is one sequential in-process pass:
 or truncated file raises :class:`StoreCorrupt`, it never yields
 partial rows); :class:`SqliteTraceStore` exposes
 
-* :meth:`~SqliteTraceStore.fold` — :class:`SqliteFold`, a columnar
-  streaming observation fold that feeds ``Derivator.derive`` without
-  ever materializing a :class:`TraceDatabase` (duck-types the
-  :class:`~repro.core.observations.ObservationTable` query surface,
-  including lazy per-target observation materialization for the
-  violation finder),
+* :meth:`~SqliteTraceStore.fold` — the
+  :class:`~repro.core.observations.ObservationTable` that derivation,
+  the checker and the violation finder read, filled by one scan of the
+  access table without ever materializing a :class:`TraceDatabase`,
 * :meth:`~SqliteTraceStore.load_database` — full reconstruction for
   consumers that need real rows (race detection).
 """
@@ -35,13 +33,12 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import sys
-from array import array
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.lockrefs import LockSeq
-from repro.core.observations import ObsKey, Observation
+from repro.core.observations import ObservationTable
 from repro.db.database import TraceDatabase
 from repro.db.filters import REASON_STALE_LOCK, REASON_SYNTHETIC_TXN, FilterConfig
 from repro.db.health import TraceHealth
@@ -422,7 +419,7 @@ class SqliteTraceStore:
         self.connection = open_store(self.path)
         self.meta = dict(self.connection.execute("SELECT key, value FROM meta"))
         self._seq_table: Optional[List[LockSeq]] = None
-        self._folds: Dict[bool, "SqliteFold"] = {}
+        self._folds: Dict[bool, ObservationTable] = {}
 
     def close(self) -> None:
         self.connection.close()
@@ -485,12 +482,38 @@ class SqliteTraceStore:
             self._seq_table = table
         return self._seq_table
 
-    def fold(self, split_subclasses: bool = True) -> "SqliteFold":
-        fold = self._folds.get(split_subclasses)
-        if fold is None:
-            fold = SqliteFold(self, split_subclasses=split_subclasses)
-            self._folds[split_subclasses] = fold
-        return fold
+    def fold(self, split_subclasses: bool = True) -> ObservationTable:
+        """The observation fold (Tab. 1 semantics) in one scan of the
+        kept rows in ``(txn_id, alloc_id, member)`` group order — the
+        order of an index, so each group arrives whole."""
+        table = self._folds.get(split_subclasses)
+        if table is not None:
+            return table
+        table = self._folds[split_subclasses] = ObservationTable(split_subclasses)
+        seqs = self.lockseq_table()
+        cursor = self.connection.execute(
+            "SELECT txn_id, alloc_id, member, access_type, "
+            "access_id, file, line, stack_id, lockseq_id, data_type, subclass "
+            "FROM accesses WHERE filter_reason IS NULL "
+            "ORDER BY txn_id, alloc_id, member, access_id"
+        )
+        for (_, _, member), group in groupby(cursor, itemgetter(0, 1, 2)):
+            rows = list(group)
+            first = rows[0]
+            seq_id, data_type, subclass = first[8:]
+            if split_subclasses and subclass:
+                data_type = f"{data_type}:{subclass}"
+            # Write over read: one write makes the observation a write.
+            access_type = "w" if any(row[3] == "w" for row in rows) else "r"
+            table.add(
+                (data_type, member, access_type), seqs[seq_id], first[4:8],
+                1, len(rows), [row[7] for row in rows], [row[5:7] for row in rows],
+            )
+        (table.synthetic_excluded,) = self.connection.execute(
+            "SELECT COUNT(*) FROM accesses WHERE filter_reason IN (?, ?)",
+            (REASON_SYNTHETIC_TXN, REASON_STALE_LOCK),
+        ).fetchone()
+        return table
 
     def load_database(
         self,
@@ -570,312 +593,3 @@ class SqliteTraceStore:
             ))
         db.health = self.health()
         return db
-
-
-# ----------------------------------------------------------------------
-# The columnar derivation fold
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ColumnBatch:
-    """One fetch chunk of the access table in columnar form.
-
-    Integer columns are ``array('q')`` (8 bytes per value, no object
-    boxing); string columns are interned so the per-batch footprint is
-    a pointer array over a handful of distinct strings.
-    """
-
-    txn_ids: array
-    alloc_ids: array
-    seq_ids: array
-    members: List[str]
-    access_types: List[str]
-    data_types: List[str]
-    subclasses: List[Optional[str]]
-
-    def __len__(self) -> int:
-        return len(self.txn_ids)
-
-
-def _column_batches(cursor, batch_rows: int = 16384) -> Iterable[ColumnBatch]:
-    intern = sys.intern
-    while True:
-        rows = cursor.fetchmany(batch_rows)
-        if not rows:
-            return
-        yield ColumnBatch(
-            txn_ids=array("q", (row[0] for row in rows)),
-            alloc_ids=array("q", (row[1] for row in rows)),
-            seq_ids=array("q", (row[2] for row in rows)),
-            members=[intern(row[3]) for row in rows],
-            access_types=[intern(row[4]) for row in rows],
-            data_types=[intern(row[5]) for row in rows],
-            subclasses=[
-                intern(row[6]) if row[6] is not None else None for row in rows
-            ],
-        )
-
-
-class SqliteFold:
-    """Streaming observation fold over a store (Tab. 1 semantics).
-
-    Duck-types the :class:`~repro.core.observations.ObservationTable`
-    query surface used by rule derivation (``keys`` / ``sequences`` /
-    ``observation_count``), by the documented-rule checker
-    (``merged_sequences`` and friends), and by the violation finder
-    (``get``).  The fold itself is one indexed scan of the kept access
-    rows in ``(txn_id, alloc_id, member)`` group order, consumed in
-    columnar batches with O(1) state per group — observation *rows*
-    are only materialized lazily, per derivation target, when the
-    violation finder asks for them.
-    """
-
-    def __init__(
-        self,
-        store: SqliteTraceStore,
-        split_subclasses: bool = True,
-        write_over_read: bool = True,
-    ) -> None:
-        self.store = store
-        self.split_subclasses = split_subclasses
-        self.write_over_read = write_over_read
-        self._seq_counts: Dict[ObsKey, Dict[LockSeq, int]] = {}
-        self._counts: Dict[ObsKey, int] = {}
-        self._sorted_seqs: Dict[ObsKey, List[Tuple[LockSeq, int]]] = {}
-        self.total = 0
-        self._obs: Dict[ObsKey, List[Observation]] = {}
-        self._materialized: Set[Tuple[str, str]] = set()
-        self._scan()
-        (self.synthetic_excluded,) = store.connection.execute(
-            "SELECT COUNT(*) FROM accesses WHERE filter_reason IN (?, ?)",
-            (REASON_SYNTHETIC_TXN, REASON_STALE_LOCK),
-        ).fetchone()
-
-    # -- the fold ------------------------------------------------------
-
-    def _type_key(self, data_type: str, subclass: Optional[str]) -> str:
-        if self.split_subclasses and subclass:
-            return f"{data_type}:{subclass}"
-        return data_type
-
-    def _scan(self) -> None:
-        cursor = self.store.connection.execute(
-            "SELECT txn_id, alloc_id, lockseq_id, member, access_type, "
-            "data_type, subclass FROM accesses "
-            "WHERE filter_reason IS NULL "
-            "ORDER BY txn_id, alloc_id, member, access_id"
-        )
-        group_txn = group_alloc = -1
-        group_member: Optional[str] = None
-        group_seq_id = 0
-        group_type_key = ""
-        has_write = has_read = False
-        for batch in _column_batches(cursor):
-            txn_ids = batch.txn_ids
-            alloc_ids = batch.alloc_ids
-            seq_ids = batch.seq_ids
-            members = batch.members
-            access_types = batch.access_types
-            for index in range(len(batch)):
-                txn_id = txn_ids[index]
-                alloc_id = alloc_ids[index]
-                member = members[index]
-                if (
-                    txn_id != group_txn
-                    or alloc_id != group_alloc
-                    or member != group_member
-                ):
-                    if group_member is not None:
-                        self._emit(
-                            group_type_key, group_member, group_seq_id,
-                            has_write, has_read,
-                        )
-                    group_txn = txn_id
-                    group_alloc = alloc_id
-                    group_member = member
-                    group_seq_id = seq_ids[index]
-                    group_type_key = self._type_key(
-                        batch.data_types[index], batch.subclasses[index]
-                    )
-                    has_write = has_read = False
-                if access_types[index] == "w":
-                    has_write = True
-                else:
-                    has_read = True
-        if group_member is not None:
-            self._emit(group_type_key, group_member, group_seq_id,
-                       has_write, has_read)
-
-    def _emit(
-        self,
-        type_key: str,
-        member: str,
-        seq_id: int,
-        has_write: bool,
-        has_read: bool,
-    ) -> None:
-        lockseq = self.store.lockseq_table()[seq_id]
-        if self.write_over_read:
-            access_types = ("w",) if has_write else ("r",)
-        else:
-            access_types = (
-                ("w",) if has_write else ()
-            ) + (("r",) if has_read else ())
-        for access_type in access_types:
-            key = (type_key, member, access_type)
-            counter = self._seq_counts.get(key)
-            if counter is None:
-                counter = {}
-                self._seq_counts[key] = counter
-            counter[lockseq] = counter.get(lockseq, 0) + 1
-            self._counts[key] = self._counts.get(key, 0) + 1
-            self.total += 1
-
-    # -- ObservationTable query surface --------------------------------
-
-    def keys(self) -> List[ObsKey]:
-        return sorted(self._seq_counts)
-
-    def type_keys(self) -> List[str]:
-        return sorted({key[0] for key in self._seq_counts})
-
-    def members_of(self, type_key: str) -> List[str]:
-        return sorted({m for (tk, m, _) in self._seq_counts if tk == type_key})
-
-    def sequences(
-        self, type_key: str, member: str, access_type: str
-    ) -> List[Tuple[LockSeq, int]]:
-        key = (type_key, member, access_type)
-        cached = self._sorted_seqs.get(key)
-        if cached is None:
-            counter = self._seq_counts.get(key)
-            if not counter:
-                return []
-            cached = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-            self._sorted_seqs[key] = cached
-        return cached
-
-    def observation_count(
-        self, type_key: str, member: str, access_type: str
-    ) -> int:
-        return self._counts.get((type_key, member, access_type), 0)
-
-    def base_keys(self, data_type: str) -> List[str]:
-        prefix = data_type + ":"
-        return [
-            tk
-            for tk in self.type_keys()
-            if tk == data_type or tk.startswith(prefix)
-        ]
-
-    def merged_sequences(
-        self, data_type: str, member: str, access_type: str
-    ) -> List[Tuple[LockSeq, int]]:
-        counter: Dict[LockSeq, int] = {}
-        for type_key in self.base_keys(data_type):
-            for lockseq, count in self._seq_counts.get(
-                (type_key, member, access_type), {}
-            ).items():
-                counter[lockseq] = counter.get(lockseq, 0) + count
-        return sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-
-    def merged_members_of(self, data_type: str) -> List[str]:
-        members: Set[str] = set()
-        for type_key in self.base_keys(data_type):
-            members.update(self.members_of(type_key))
-        return sorted(members)
-
-    def merged_get(
-        self, data_type: str, member: str, access_type: str
-    ) -> List[Observation]:
-        merged: List[Observation] = []
-        for type_key in self.base_keys(data_type):
-            merged.extend(self.get(type_key, member, access_type))
-        return merged
-
-    # -- lazy observation materialization (violation finder) -----------
-
-    def get(
-        self, type_key: str, member: str, access_type: str
-    ) -> List[Observation]:
-        key = (type_key, member, access_type)
-        cached = self._obs.get(key)
-        if cached is not None:
-            return cached
-        data_type = type_key.split(":", 1)[0]
-        if (data_type, member) not in self._materialized:
-            self._materialize(data_type, member)
-        return self._obs.get(key, [])
-
-    def _materialize(self, data_type: str, member: str) -> None:
-        """Fetch all kept rows of ``(data_type, member)`` and rebuild
-        their observations, in the exact order the in-memory table
-        holds them (first appearance in the access scan — i.e. by the
-        group's smallest ``access_id``)."""
-        self._materialized.add((data_type, member))
-        seqs = self.store.lockseq_table()
-        cursor = self.store.connection.execute(
-            f"SELECT {_ACCESS_COLUMNS} FROM accesses "
-            "WHERE filter_reason IS NULL AND data_type = ? AND member = ? "
-            "ORDER BY txn_id, alloc_id, access_id",
-            (data_type, member),
-        )
-        pending: List[Tuple[int, Observation]] = []
-        group_key: Optional[Tuple[int, int]] = None
-        rows: List[AccessRow] = []
-
-        def emit() -> None:
-            if not rows:
-                return
-            first = rows[0]
-            type_key = self._type_key(first.data_type, first.subclass)
-            reads = [r for r in rows if r.access_type == "r"]
-            writes = [r for r in rows if r.access_type == "w"]
-            observations = []
-            if self.write_over_read:
-                if writes:
-                    observations.append(Observation(
-                        first.txn_id, first.alloc_id, type_key, member,
-                        "w", first.lockseq, tuple(rows), mixed=bool(reads),
-                    ))
-                else:
-                    observations.append(Observation(
-                        first.txn_id, first.alloc_id, type_key, member,
-                        "r", first.lockseq, tuple(rows),
-                    ))
-            else:
-                if writes:
-                    observations.append(Observation(
-                        first.txn_id, first.alloc_id, type_key, member,
-                        "w", first.lockseq, tuple(writes),
-                    ))
-                if reads:
-                    observations.append(Observation(
-                        first.txn_id, first.alloc_id, type_key, member,
-                        "r", first.lockseq, tuple(reads),
-                    ))
-            for obs in observations:
-                pending.append((first.access_id, obs))
-
-        for record in cursor:
-            (access_id, ts, ctx_id, txn_id, alloc_id, row_dt, subclass,
-             row_member, row_access_type, address, size, stack_id, file,
-             line, lockseq_id) = record
-            if (txn_id, alloc_id) != group_key:
-                emit()
-                group_key = (txn_id, alloc_id)
-                rows = []
-            rows.append(AccessRow(
-                access_id=access_id, ts=ts, ctx_id=ctx_id, txn_id=txn_id,
-                alloc_id=alloc_id, data_type=row_dt, subclass=subclass,
-                member=row_member, access_type=row_access_type,
-                address=_u64(address), size=size, stack_id=stack_id,
-                file=file, line=line, lockseq=seqs[lockseq_id],
-                filter_reason=None,
-            ))
-        emit()
-        pending.sort(key=lambda item: item[0])
-        for _, obs in pending:
-            obs_key = (obs.type_key, obs.member, obs.access_type)
-            self._obs.setdefault(obs_key, []).append(obs)

@@ -194,9 +194,8 @@ class Pipeline:
             )
         return sqlstore.SqliteTraceStore(path)
 
-    def sqlite_table(self, split_subclasses: bool = True):
-        """The store's streaming observation fold (duck-types
-        :class:`ObservationTable` for derive/check/violations)."""
+    def sqlite_table(self, split_subclasses: bool = True) -> ObservationTable:
+        """The observation table folded by one scan of the store."""
         return self.store().fold(split_subclasses)
 
     def derive(

@@ -17,9 +17,8 @@ same abstraction level derivation consumes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.derivator import Derivator
 from repro.core.observations import ObservationTable
@@ -48,11 +47,7 @@ def merge_observations(
     never meet — so appending merged observations is sound even though
     the raw id spaces overlap.
     """
-    groups: Dict[Tuple[Optional[int], int, str], List] = defaultdict(list)
-    for access in db.kept_accesses():
-        groups[(access.txn_id, access.alloc_id, access.member)].append(access)
-    for (txn_id, alloc_id, member), rows in groups.items():
-        table._add_group(txn_id, alloc_id, member, rows)
+    table.add_accesses(db.kept_accesses())
     return table
 
 

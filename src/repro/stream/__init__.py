@@ -17,11 +17,7 @@ bit-identical to the post-mortem pipeline's; see the equivalence
 contract in :mod:`repro.stream.engine`.
 """
 
-from repro.stream.engine import (
-    StreamEngine,
-    StreamObservationTable,
-    StreamProtocolError,
-)
+from repro.stream.engine import StreamEngine, StreamProtocolError
 from repro.stream.intervals import IntervalReport
 from repro.stream.runner import (
     StreamRun,
@@ -33,7 +29,6 @@ from repro.stream.runner import (
 __all__ = [
     "IntervalReport",
     "StreamEngine",
-    "StreamObservationTable",
     "StreamProtocolError",
     "StreamRun",
     "run_derive_streamed",

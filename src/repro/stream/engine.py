@@ -9,10 +9,10 @@ tracer's event sink (see
 :func:`repro.tracing.tracer.install_sink_factory`) and maintains,
 online,
 
-* the **observation fold** — the same per-transaction
-  ``(type_key, member, access_type) -> lockseq`` counters
-  :class:`~repro.core.observations.ObservationTable` builds, fed
-  without ever materializing the event list or a database,
+* the **observation fold** — the same
+  :class:`~repro.core.observations.ObservationTable` the post-mortem
+  import fills, fed at each transaction close without ever
+  materializing the event list or a database,
 * the **lockset / happens-before state** for the Eraser-style race
   detector (optional, ``races=True``), sharing the held-stack state
   with the fold,
@@ -42,12 +42,12 @@ Allocation discipline
 ---------------------
 
 The steady-state hot path (an access to an already-seen member under
-an already-seen lock state) allocates nothing: type members intern
-the fold keys, lockseq tuples are interned, filter verdicts are cached
-per ``(member, stack)``, and the per-transaction group table is a
-reused dict keyed by entry identity.  Allocations happen only on state
-*growth* — a new member, stack, lock mode, or transaction/alloc pair —
-which is O(live state), not O(events).
+an already-seen lock state) retains nothing: type members intern the
+fold keys, lockseq tuples are interned, filter verdicts are cached per
+``(member, stack)``, and the per-transaction group table is a reused
+dict keyed by entry identity.  Memory grows only with state — a new
+member, stack, location, lock mode, or transaction/alloc pair — which
+is O(live state), not O(events).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from repro.analysis.racedetect import RaceReport, classify_candidates
 from repro.core.contention import ContentionReport, LockStats
 from repro.core.derivator import DerivationResult
 from repro.core.lockrefs import LockScope, LockSeq
-from repro.core.observations import ObsKey
+from repro.core.observations import ObservationTable
 from repro.db.filters import FilterConfig
 from repro.db.replay import Ctx, MemberEntry, Replay
 from repro.stream.intervals import IntervalReport
@@ -73,61 +73,6 @@ from repro.tracing.events import AccessEvent, AllocEvent, FreeEvent, LockEvent
 
 class StreamProtocolError(ValueError):
     """The live stream violated the event protocol (strict semantics)."""
-
-
-class StreamObservationTable:
-    """The engine's incrementally built fold.
-
-    Duck-types the query surface :class:`~repro.core.derivator.Derivator`
-    (and the rule reports) need from
-    :class:`~repro.core.observations.ObservationTable`: ``keys()``,
-    ``sequences()``, ``observation_count()``, ``total`` and
-    ``synthetic_excluded`` — with identical sort orders, so a
-    derivation from this table is bit-identical to one from the
-    post-mortem fold of the same trace.
-    """
-
-    split_subclasses = True
-    write_over_read = True
-
-    def __init__(self) -> None:
-        self._seq_counts: Dict[ObsKey, Dict[LockSeq, int]] = {}
-        self._counts: Dict[ObsKey, int] = {}
-        self._sorted_seqs: Dict[ObsKey, List[Tuple[LockSeq, int]]] = {}
-        self.total = 0
-        #: Kept accesses dropped because their transaction was still
-        #: open at end of stream (the importer's synthetic-close set).
-        self.synthetic_excluded = 0
-
-    def _add(self, key: ObsKey, lockseq: LockSeq) -> None:
-        counter = self._seq_counts.get(key)
-        if counter is None:
-            counter = self._seq_counts[key] = {}
-            self._counts[key] = 0
-        counter[lockseq] = counter.get(lockseq, 0) + 1
-        self._counts[key] += 1
-        self.total += 1
-        if self._sorted_seqs:
-            self._sorted_seqs.pop(key, None)
-
-    def keys(self) -> List[ObsKey]:
-        return sorted(self._seq_counts)
-
-    def sequences(
-        self, type_key: str, member: str, access_type: str
-    ) -> List[Tuple[LockSeq, int]]:
-        key = (type_key, member, access_type)
-        cached = self._sorted_seqs.get(key)
-        if cached is None:
-            counter = self._seq_counts.get(key)
-            if not counter:
-                return []
-            cached = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-            self._sorted_seqs[key] = cached
-        return cached
-
-    def observation_count(self, type_key: str, member: str, access_type: str) -> int:
-        return self._counts.get((type_key, member, access_type), 0)
 
 
 class _LockInfo(LockScope):
@@ -144,7 +89,8 @@ class _StreamCtx(Ctx):
 
     def __init__(self, ctx_id: int, rank: int) -> None:
         super().__init__(ctx_id, rank)
-        #: Open transaction's fold groups: entry -> [lockseq, has_write].
+        #: Open transaction's fold groups: entry -> [lockseq, has_write,
+        #: first access, accesses, stack ids, locations].
         self.groups: Dict[MemberEntry, List] = {}
         #: Lazily built (all, write-mode) held lock-instance frozensets.
         self.held_sets: Optional[Tuple[frozenset, frozenset]] = None
@@ -175,7 +121,7 @@ class StreamEngine(Replay):
         top: int = 5,
     ) -> None:
         super().__init__(structs, filters)
-        self.table = StreamObservationTable()
+        self.table = ObservationTable()
         self.tracer = None
 
         # Event counters (TraceStats shape; ``total_events`` is the replay's).
@@ -283,9 +229,16 @@ class StreamEngine(Replay):
         seq = self._lockseq(ctx, entry.alloc_id)
         group = ctx.groups.get(entry)
         if group is None:
-            ctx.groups[entry] = [seq, is_write]
-        elif is_write and not group[1]:
-            group[1] = True
+            ctx.groups[entry] = [
+                seq, is_write, (self._access_counter, file, line, stack_id),
+                1, {stack_id}, {(file, line)},
+            ]
+        else:
+            if is_write:
+                group[1] = True
+            group[3] += 1
+            group[4].add(stack_id)
+            group[5].add((file, line))
 
         if self._races:
             self._track_access(event, ctx, entry, seq, own)
@@ -326,18 +279,21 @@ class StreamEngine(Replay):
     def _txn_closed(self, ctx: _StreamCtx, end_ts: int) -> None:
         """Fold the closing transaction's groups (the ``(txn, alloc,
         member)`` grouping + write-over-read of
-        ``ObservationTable.from_database``) — or, for a transaction
-        closed by a synthesized release, drop them: the streaming twin
-        of the importer's synthetic-close quarantine."""
+        :func:`~repro.core.observations.fold_accesses`) — or, for a
+        transaction closed by a synthesized release, drop them: the
+        streaming twin of the importer's synthetic-close quarantine."""
         groups = ctx.groups
         if ctx.synthetic_close:
             self.synthetic_txns += 1
             self.table.synthetic_excluded += ctx.kept_in_txn
         elif groups:
-            table = self.table
-            for entry, group in groups.items():
+            add = self.table.add
+            for entry, (seq, is_write, first, accesses, stacks, locations) in (
+                groups.items()
+            ):
                 member = entry.member
-                table._add(member.key_w if group[1] else member.key_r, group[0])
+                add(member.key_w if is_write else member.key_r, seq, first, 1,
+                    accesses, stacks, locations)
         groups.clear()
         ctx.held_sets = None
         ctx.kept_in_txn = 0

@@ -7,7 +7,7 @@ from repro.core.derivator import Derivator
 from repro.core.hypotheses import enumerate_and_score
 from repro.core.lockrefs import LockRef
 from repro.core.memo import HypothesisMemo, MemoStats, canonical_profile
-from repro.core.observations import Observation, ObservationTable
+from repro.core.observations import ObservationTable, Sample
 
 A = LockRef.es("lock_a", "pair")
 B = LockRef.es("lock_b", "pair")
@@ -97,16 +97,10 @@ def _tables(draw):
         member = f"m{m}"
         seqs = draw(st.lists(_lockseq, min_size=1, max_size=5))
         for i, seq in enumerate(seqs):
-            table._append(
-                Observation(
-                    txn_id=i,
-                    alloc_id=1,
-                    type_key="pair",
-                    member=member,
-                    access_type=draw(st.sampled_from(["r", "w"])),
-                    lockseq=seq,
-                    accesses=(),
-                )
+            access_type = draw(st.sampled_from(["r", "w"]))
+            table.add(
+                ("pair", member, access_type), seq, Sample(i, "f.c", 1, 0),
+                observations=1, accesses=1, stacks=(0,), locations=(),
             )
     return table
 

@@ -28,8 +28,8 @@ def test_folding_counts_once_per_txn(rt):
     rt.spin_unlock(ctx, obj.lock("lock_a"))
     table = table_for(rt)
     assert table.observation_count("pair", "a", "w") == 1
-    obs = table.get("pair", "a", "w")[0]
-    assert len(obs.accesses) == 5  # raw accesses preserved for reporting
+    (group,) = table.groups("pair", "a", "w").values()
+    assert group.accesses == 5  # every access counts as a reported event
 
 
 def test_write_over_read(rt):
@@ -42,7 +42,8 @@ def test_write_over_read(rt):
     table = table_for(rt)
     assert table.observation_count("pair", "a", "w") == 1
     assert table.observation_count("pair", "a", "r") == 0  # folded into the write
-    assert table.get("pair", "a", "w")[0].mixed
+    (group,) = table.groups("pair", "a", "w").values()
+    assert group.accesses == 2  # the read reports with the write
 
 
 def test_write_over_read_disabled(rt):
@@ -93,7 +94,7 @@ def test_merged_queries_cover_subclasses(rt):
     rt.write(ctx, ext4, "a")
     split = table_for(rt, split_subclasses=True)
     assert split.base_keys("pair") == ["pair:ext4"]
-    assert len(split.merged_get("pair", "a", "w")) == 1
+    assert split.merged_sequences("pair", "a", "w") == [((), 1)]
     assert split.merged_members_of("pair") == ["a"]
 
 

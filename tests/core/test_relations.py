@@ -21,7 +21,7 @@ def analyze(rt):
     db = import_tracer(rt.tracer, rt.structs)
     table = ObservationTable.from_database(db)
     derivation = Derivator().derive(table)
-    return analyze_relations(derivation, table, db), derivation
+    return analyze_relations(derivation, db), derivation
 
 
 def test_container_relation():
@@ -122,9 +122,7 @@ def test_vfs_relations(pipeline):
     journal_head lists (one journal, many journal heads); dentry
     d_child under the parent's d_lock is an OWNER/CONTAINER relation —
     and stable relations dominate overall."""
-    report = analyze_relations(
-        pipeline.derive(), pipeline.table, pipeline.db
-    )
+    report = analyze_relations(pipeline.derive(), pipeline.db)
     jh = report.get("journal_head", "b_transaction", "w")
     assert jh is not None
     assert jh.kind == RelationKind.CONTAINER  # exactly one journal

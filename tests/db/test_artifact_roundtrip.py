@@ -1,15 +1,14 @@
 """Cache artifacts survive a pickle round trip exactly.
 
-The ``db`` and ``table-*`` cache artifacts pickle a compact layout:
-rows as positional tuples, lock sequences interned once, the database
-indexes as row positions, and observation-table targets left packed
-until their first ``get``.  None of that may show.  After a round
-trip the database must equal the original in every relation, in its
-health and stack table, and in every index — key order, lists that
-repairs emptied, keys repairs deleted, the ``defaultdict`` type, and
-rows shared by identity with ``accesses``.  Split and merged tables
-must answer every query as before, also when pickled again after only
-some of their targets were decoded.
+The ``db`` cache artifact pickles a compact layout: rows as
+positional tuples, lock sequences interned once, the indexes as row
+positions.  None of that may show.  After a round trip the database
+must equal the original in every relation, in its health and stack
+table, and in every index — key order, lists that repairs emptied,
+keys repairs deleted, the ``defaultdict`` type, and rows shared by
+identity with ``accesses``.  Split and merged ``table-*`` artifacts
+must answer every query as before, also when pickled again after some
+of their targets were queried.
 """
 
 from __future__ import annotations
@@ -138,11 +137,8 @@ def _assert_tables_equal(loaded: ObservationTable, table: ObservationTable):
             table.merged_sequences(base, *key[1:])
         )
         assert loaded.observation_count(*key) == table.observation_count(*key)
-        assert loaded.get(*key) == table.get(*key)
-        assert loaded.merged_get(base, *key[1:]) == (
-            table.merged_get(base, *key[1:])
-        )
-    assert loaded.get("no-such-type", "x", "r") == []
+        assert loaded.groups(*key) == table.groups(*key)
+    assert loaded.groups("no-such-type", "x", "r") == {}
     assert loaded.observation_count("no-such-type", "x", "r") == 0
 
 
@@ -155,12 +151,30 @@ def test_table_round_trips(db, split):
 
 @pytest.mark.parametrize("split", (True, False), ids=("split", "merged"))
 def test_partly_decoded_table_round_trips_again(db, split):
+    """A loaded table whose sorted-sequence cache is half filled
+    pickles and loads again unchanged."""
     table = ObservationTable.from_database(db, split_subclasses=split)
     loaded = _round_trip(table)
     keys = table.keys()
     for key in keys[::2]:
-        loaded.get(*key)
+        loaded.sequences(*key)
     again = _round_trip(loaded)
     _assert_tables_equal(again, table)
-    # And the half-decoded original still answers like the fresh table.
     _assert_tables_equal(loaded, table)
+
+
+def test_loaded_table_takes_appends_like_a_fresh_one():
+    """Folding more observations into a table loaded from its pickle
+    gives the table a fresh fold would: every query, violations too."""
+    from repro.core.derivator import Derivator
+    from repro.core.violations import ViolationFinder
+    from repro.fuzz.report import merge_observations
+
+    db = _import("mix", None)
+    loaded = merge_observations(_round_trip(ObservationTable.from_database(db)), db)
+    fresh = merge_observations(ObservationTable.from_database(db), db)
+    _assert_tables_equal(loaded, fresh)
+    derivation = Derivator(0.9).derive(fresh)
+    found = [v.format() for v in ViolationFinder(derivation, loaded).find()]
+    assert found == [v.format() for v in ViolationFinder(derivation, fresh).find()]
+    assert found

@@ -1,9 +1,10 @@
 """Tests for the out-of-core SQLite trace store (build/validate/query).
 
-The store's contract is *bit-identical analysis*: every relation, the
-observation fold, and the health report must match what the in-memory
-importer produces — on clean traces and on fault-corrupted traces, also
-when built inside a daemonic worker process.  Plus the crash-safety
+The store's contract is *bit-identical analysis*: every relation and
+the health report must match what the in-memory importer produces — on
+clean traces and on fault-corrupted traces, also when built inside a
+daemonic worker process (the fold's parity is the fold oracle's, in
+``tests/core/test_fold_oracle.py``).  Plus the crash-safety
 contract: a torn file is refused, a failed build leaves nothing behind.
 """
 
@@ -15,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.observations import ObservationTable
 from repro.db import sqlstore
 from repro.db.health import ingest_events
 from repro.db.importer import LENIENT_POLICY
@@ -126,37 +126,6 @@ class TestLoadDatabaseParity:
         loaded = store.load_database(mix_trace["structs"])
         assert all(a.address >= 0 for a in loaded.accesses)
         assert all(a.address >= 0 for a in loaded.allocations.values())
-
-
-class TestFoldParity:
-    @pytest.mark.parametrize("split", [True, False])
-    def test_fold_matches_observation_table(self, store, memory_db, split):
-        table = ObservationTable.from_database(
-            memory_db, split_subclasses=split
-        )
-        fold = store.fold(split_subclasses=split)
-        assert fold.keys() == table.keys()
-        assert fold.observation_count is not None
-        for key in table.keys():
-            assert fold.sequences(*key) == table.sequences(*key)
-            assert fold.observation_count(*key) == table.observation_count(*key)
-
-    def test_lazy_get_matches_observation_rows(self, store, memory_db):
-        table = ObservationTable.from_database(memory_db)
-        fold = store.fold()
-        for key in table.keys()[:40]:
-            assert fold.get(*key) == table.get(*key)
-
-    def test_merged_surface_matches(self, store, memory_db):
-        table = ObservationTable.from_database(memory_db)
-        fold = store.fold()
-        for type_key in table.type_keys():
-            data_type = type_key.split(":", 1)[0]
-            for member in table.merged_members_of(data_type):
-                for access_type in ("r", "w"):
-                    assert fold.merged_sequences(
-                        data_type, member, access_type
-                    ) == table.merged_sequences(data_type, member, access_type)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.stream import StreamEngine, StreamProtocolError, run_streamed
 from repro.stream.runner import run_derive_streamed, run_races_streamed
 from repro.tracing.events import AllocEvent, FreeEvent
 from repro.tracing.tracer import install_sink_factory
-from repro.workloads import registry
 from tests.conftest import make_pair_struct
 
 #: Equivalence holds at any scale; a small trace keeps the suite fast.
@@ -47,13 +46,6 @@ def fuzz_workload(tmp_path_factory):
     return f"fuzz:{path}"
 
 
-def _postmortem_table(workload, seed=0, scale=SCALE):
-    result = registry.resolve(workload)(seed, scale)
-    structs, filters = registry.database_inputs(registry.db_recipe(workload))
-    db = import_tracer(result.tracer, structs, filters)
-    return ObservationTable.from_database(db)
-
-
 def _derivation_rows(derivation):
     return [
         (d.type_key, d.member, d.access_type, d.rule.format(),
@@ -65,21 +57,6 @@ def _derivation_rows(derivation):
 # ---------------------------------------------------------------------
 # Fold / derive equivalence
 # ---------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("workload", ["mix", "netmix"])
-def test_stream_fold_matches_postmortem(workload):
-    """The online fold produces the same observation table — same
-    targets, same lock sequences in the same order, same counts — as
-    trace -> import -> ``ObservationTable.from_database``."""
-    run = run_streamed(workload, 0, SCALE)
-    table = _postmortem_table(workload)
-    assert run.engine.table.keys() == table.keys()
-    for key in table.keys():
-        assert run.engine.table.sequences(*key) == table.sequences(*key)
-        assert run.engine.table.observation_count(
-            *key
-        ) == table.observation_count(*key)
 
 
 def test_stream_derive_bitidentical(fuzz_workload):
