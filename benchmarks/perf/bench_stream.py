@@ -7,8 +7,12 @@ workload, with correctness pinned on the side.
 
 * **throughput** — end-to-end events/s of ``run_streamed`` + derive vs
   the post-mortem pipeline (workload run, binary dump round-trip,
-  import, observation fold, derive); best-of-``--repeat`` wall times,
-  each preceded by ``gc.collect()``.  Fails under ``--min-speedup``.
+  import, observation fold, derive).  ``--repeat`` interleaved
+  (post-mortem, streamed) pairs, alternating which side runs first and
+  each run preceded by ``gc.collect()``; the speedup is the median
+  per-pair ratio, so a slow phase of a shared host slows both sides of
+  a pair instead of one side's whole block.  Fails under
+  ``--min-speedup``.
 * **memory** — :mod:`tracemalloc` peak of each end-to-end pipeline.
   The streamed pass keeps O(live state) — no event list, no dump
   buffer, no row database — and must stay under ``--max-peak-fraction``
@@ -32,13 +36,14 @@ import io
 import sys
 import time
 import tracemalloc
+from statistics import median
 from typing import Callable, Tuple
 
 import repro.kernel  # noqa: F401  (must initialize before repro.tracing)
 from repro.atomicio import atomic_write_json
 
 #: Bump on any change to the JSON layout.
-SCHEMA = "lockdoc-bench-stream/1"
+SCHEMA = "lockdoc-bench-stream/2"
 
 
 def _derivation_rows(derivation):
@@ -82,17 +87,11 @@ def _run_streamed(workload: str, seed: int, scale: float):
     return run.engine.total_events, _derivation_rows(derivation)
 
 
-def _best_of(
-    fn: Callable[[], Tuple[int, list]], repeat: int
-) -> Tuple[float, int, list]:
-    best = float("inf")
-    events, rows = 0, []
-    for _ in range(max(1, repeat)):
-        gc.collect()  # keep deferred garbage out of the timed region
-        t0 = time.perf_counter()
-        events, rows = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, events, rows
+def _timed(fn: Callable[[], Tuple[int, list]]) -> Tuple[float, int, list]:
+    gc.collect()  # keep deferred garbage out of the timed region
+    t0 = time.perf_counter()
+    events, rows = fn()
+    return time.perf_counter() - t0, events, rows
 
 
 def _peak_of(fn: Callable[[], Tuple[int, list]]) -> int:
@@ -105,21 +104,34 @@ def _peak_of(fn: Callable[[], Tuple[int, list]]) -> int:
 
 
 def bench_throughput(workload: str, seed: int, scale: float, repeat: int) -> dict:
-    post_s, events, post_rows = _best_of(
-        lambda: _run_postmortem(workload, seed, scale), repeat
-    )
-    stream_s, stream_events, stream_rows = _best_of(
-        lambda: _run_streamed(workload, seed, scale), repeat
-    )
+    def post():
+        return _timed(lambda: _run_postmortem(workload, seed, scale))
+
+    def stream():
+        return _timed(lambda: _run_streamed(workload, seed, scale))
+
+    pairs = []
+    for index in range(max(1, repeat)):
+        if index % 2 == 0:
+            post_run = post()
+            stream_run = stream()
+        else:
+            stream_run = stream()
+            post_run = post()
+        pairs.append((post_run, stream_run))
+    post_s = median(p[0] for p, _ in pairs)
+    stream_s = median(s[0] for _, s in pairs)
+    (_, events, post_rows), (_, stream_events, stream_rows) = pairs[-1]
     return {
         "events": events,
+        "pairs": [[round(p[0], 4), round(s[0], 4)] for p, s in pairs],
         "postmortem_s": round(post_s, 4),
         "streamed_s": round(stream_s, 4),
         "postmortem_events_per_s": round(events / post_s, 1),
         "streamed_events_per_s": round(stream_events / stream_s, 1),
-        "speedup": round(post_s / stream_s, 2),
-        "derivations_equal": (
-            stream_events == events and stream_rows == post_rows
+        "speedup": round(median(p[0] / s[0] for p, s in pairs), 2),
+        "derivations_equal": all(
+            s[1] == p[1] and s[2] == p[2] for p, s in pairs
         ),
         "rules": len(stream_rows),
     }
@@ -158,7 +170,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="mix")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=18.0)
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument(
+        "--repeat", type=int, default=5,
+        help="interleaved (post-mortem, streamed) pairs to time",
+    )
     parser.add_argument("--interval", type=int, default=2000)
     parser.add_argument(
         "--min-speedup", type=float, default=2.0,

@@ -68,10 +68,18 @@ from repro.core.report import render_table
 from repro.core.violations import ViolationFinder
 from repro.doc.corpus import documented_rules
 from repro.experiments import common as experiments_common
+from repro.workloads import registry, subsystems
+
+#: Another subsystem's Tab. 3/Tab. 6 column runs as ``<table><name>``.
+_COLUMN_EXPERIMENTS = {
+    f"{table}{name}": (table, name)
+    for name in subsystems.SUBSYSTEMS if name != subsystems.DEFAULT
+    for table in ("tab3", "tab6")
+}
 
 _EXPERIMENTS = (
     "fig1", "tab1", "tab2", "tab3", "tab4", "tab5", "tab6",
-    "fig7", "tab7", "tab8", "fig8", "stats", "tab3net", "tab6net",
+    "fig7", "tab7", "tab8", "fig8", "stats", *_COLUMN_EXPERIMENTS,
 )
 
 
@@ -248,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument("trace", help="trace file (text or binary, may be damaged)")
     health.add_argument(
-        "--registry", choices=("vfs", "racer", "net"), default="vfs",
+        "--registry", choices=tuple(registry.RECIPES), default="vfs",
         help="struct registry the trace was recorded against "
         "(`net` = the combined vfs+net recipe)",
     )
@@ -284,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz_run.add_argument("--seed", type=int, default=0, help="campaign seed")
     fuzz_run.add_argument(
-        "--subsystem", choices=("vfs", "net"), default="vfs",
+        "--subsystem", choices=tuple(subsystems.SUBSYSTEMS),
+        default=subsystems.DEFAULT,
         help="which simulated slice to fuzz (baseline: mix for vfs, "
         "netbench for net)",
     )
@@ -584,11 +593,14 @@ def _cmd_experiment(args) -> int:
             file=sys.stderr,
         )
         return 2
-    module = importlib.import_module(f"repro.experiments.{args.name}")
-    if args.name in ("fig1", "tab1", "tab2"):
+    name, column = args.name, {}
+    if name in _COLUMN_EXPERIMENTS:
+        name, column["subsystem"] = _COLUMN_EXPERIMENTS[name]
+    module = importlib.import_module(f"repro.experiments.{name}")
+    if name in ("fig1", "tab1", "tab2"):
         result = module.run()
     else:
-        result = module.run(seed=args.seed, scale=args.scale)
+        result = module.run(seed=args.seed, scale=args.scale, **column)
     print(result.render())
     return 0
 
@@ -626,12 +638,10 @@ def _cmd_analyze(args) -> int:
     from repro.core.derivator import Derivator
     from repro.core.observations import ObservationTable
     from repro.db.importer import import_trace
-    from repro.kernel.vfs.groundtruth import build_filter_config
-    from repro.kernel.vfs.layouts import build_struct_registry
     from repro.tracing import serialize
 
     events, stacks = serialize.load_path(args.trace).as_tuple()
-    db = import_trace(events, stacks, build_struct_registry(), build_filter_config())
+    db = import_trace(events, stacks, *registry.database_inputs("vfs"))
     table = ObservationTable.from_database(db)
     derivation = Derivator(args.threshold).derive(table)
     rows = [
@@ -756,7 +766,6 @@ def _cmd_corrupt(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     from repro.fuzz import Corpus, FuzzConfig, FuzzOrchestrator, replay_corpus
-    from repro.workloads.registry import register_corpus
 
     if args.action == "run":
         config = FuzzConfig(
@@ -770,8 +779,8 @@ def _cmd_fuzz(args) -> int:
         outcome = FuzzOrchestrator(config, progress=print).run()
         corpus = outcome.corpus
         corpus.save(args.out)
-        name = register_corpus(corpus)
-        baseline_name = "netbench" if args.subsystem == "net" else "mix"
+        name = registry.register_corpus(corpus)
+        baseline_name = subsystems.get(args.subsystem).baseline
         print(
             f"wrote {args.out}: {len(corpus.entries)} programs, "
             f"{corpus.global_coverage.pair_count} pairs "

@@ -5,6 +5,15 @@ For every type: total members (#M), black-listed/filtered members
 many of those rules are "no lock needed" (#Nl r/w).  Shapes to hold
 vs. the paper: read rules outnumber write rules' no-lock share by far;
 ext4 inodes are the best covered subclass, debugfs barely appears.
+
+``run(subsystem=...)`` gives another slice's column over its baseline
+workload.  ``experiment tab6net`` mines the four observed networking
+types (``sock``, ``sk_buff``, ``socket_wq``, ``net_device``) from a
+netbench trace and adds each type's mean winning-rule support: every
+type yields rules, the ``sk_lock``/queue-spinlock disciplines dominate
+``sock``, the stats/scratch members surface as genuine no-lock rules,
+and the planted skip-path deviations pull their targets' ``s_r`` just
+below 100 % rather than flipping the winner.
 """
 
 from __future__ import annotations
@@ -15,8 +24,7 @@ from typing import Dict, List, Tuple
 from repro.core.derivator import DerivationResult
 from repro.core.report import render_table
 from repro.experiments.common import DEFAULT_SCALE, DEFAULT_SEED, get_pipeline
-from repro.kernel.vfs.groundtruth import MEMBER_BLACKLIST
-from repro.kernel.vfs.layouts import build_struct_registry
+from repro.workloads import subsystems
 
 #: Paper values: {type_key: (#M, #Bl, rules_r, rules_w, nl_r, nl_w)}.
 PAPER_TAB6: Dict[str, Tuple[int, int, int, int, int, int]] = {
@@ -54,17 +62,18 @@ class Tab6Row:
     rules_w: int
     no_lock_r: int
     no_lock_w: int
+    mean_s_r: float
 
 
-def _static_counts() -> Dict[str, Tuple[int, int]]:
+def _static_counts(subsystem: subsystems.Subsystem) -> Dict[str, Tuple[int, int]]:
     """(#M, #Bl) per base type from the layouts + filter config."""
-    registry = build_struct_registry()
+    blacklisted = subsystem.member_blacklist
     counts = {}
-    for struct in registry.all():
+    for struct in subsystem.build_structs().all():
         data_members = struct.data_members()
         atomic = sum(1 for m in data_members if m.kind.value == "atomic")
         blacklist = sum(
-            1 for m in data_members if (struct.name, m.name) in MEMBER_BLACKLIST
+            1 for m in data_members if (struct.name, m.name) in blacklisted
         )
         counts[struct.name] = (len(data_members), atomic + blacklist)
     return counts
@@ -75,11 +84,14 @@ class Tab6Result:
     """Tab. 6 mined-rule rows with lookup helpers."""
     rows: List[Tab6Row]
     derivation: DerivationResult
+    subsystem: str = subsystems.DEFAULT
 
     @property
     def data(self):
-        return [
-            {
+        show_mean = subsystems.get(self.subsystem).tab6_mean_s_r
+        rows = []
+        for r in self.rows:
+            row = {
                 "type": r.type_key,
                 "members": r.members,
                 "blacklisted": r.blacklisted,
@@ -88,8 +100,10 @@ class Tab6Result:
                 "no_lock_r": r.no_lock_r,
                 "no_lock_w": r.no_lock_w,
             }
-            for r in self.rows
-        ]
+            if show_mean:
+                row["mean_s_r"] = round(r.mean_s_r, 4)
+            rows.append(row)
+        return rows
 
     def row(self, type_key: str) -> Tab6Row:
         for r in self.rows:
@@ -98,24 +112,38 @@ class Tab6Result:
         raise KeyError(type_key)
 
     def render(self) -> str:
+        column = subsystems.get(self.subsystem)
         headers = ["Data Type", "#M", "#Bl", "#Rules r", "#Rules w", "#Nl r", "#Nl w"]
         table_rows = [
             [r.type_key, r.members, r.blacklisted, r.rules_r, r.rules_w,
              r.no_lock_r, r.no_lock_w]
             for r in self.rows
         ]
-        return render_table(headers, table_rows, title="Tab. 6 — mined locking rules")
+        if column.tab6_mean_s_r:
+            headers.append("mean s_r")
+            for table_row, r in zip(table_rows, self.rows):
+                table_row.append(f"{r.mean_s_r:.2%}")
+        return render_table(headers, table_rows, title=column.tab6_title)
 
 
-def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE) -> Tab6Result:
+def run(
+    seed: int = DEFAULT_SEED,
+    scale: float = DEFAULT_SCALE,
+    subsystem: str = subsystems.DEFAULT,
+) -> Tab6Result:
     """Regenerate this experiment; see the module docstring for the paper reference."""
-    pipeline = get_pipeline(seed, scale)
+    column = subsystems.get(subsystem)
+    pipeline = get_pipeline(seed, scale, workload=column.baseline)
     derivation = pipeline.derive()
-    static = _static_counts()
+    static = _static_counts(column)
     rows = []
-    for type_key in sorted(PAPER_TAB6):
-        base = type_key.split(":", 1)[0]
-        members, blacklisted = static[base]
+    for type_key in column.tab6_types():
+        members, blacklisted = static[type_key.split(":", 1)[0]]
+        per_type = derivation.for_type(type_key)
+        mean_s_r = (
+            sum(d.winner.s_r for d in per_type) / len(per_type)
+            if per_type else 0.0
+        )
         rows.append(
             Tab6Row(
                 type_key=type_key,
@@ -125,6 +153,7 @@ def run(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE) -> Tab6Result:
                 rules_w=derivation.rule_count(type_key, "w"),
                 no_lock_r=derivation.no_lock_count(type_key, "r"),
                 no_lock_w=derivation.no_lock_count(type_key, "w"),
+                mean_s_r=mean_s_r,
             )
         )
-    return Tab6Result(rows=rows, derivation=derivation)
+    return Tab6Result(rows=rows, derivation=derivation, subsystem=subsystem)

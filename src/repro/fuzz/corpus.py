@@ -18,11 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.fuzz.feedback import CoverageMap
 from repro.fuzz.program import SyscallProgram
+from repro.workloads import subsystems
 
 #: Bump on any change to the JSON layout.
 SCHEMA = "lockdoc-fuzz-corpus/1"
@@ -97,23 +98,22 @@ class GenerationRecord:
 class Corpus:
     """Admitted programs + the global coverage frontier."""
 
-    def __init__(self, baseline: CoverageMap, seed: int = 0) -> None:
+    def __init__(
+        self,
+        baseline: CoverageMap,
+        seed: int = 0,
+        subsystem: str = subsystems.DEFAULT,
+    ) -> None:
         self.baseline = baseline
         self.seed = seed
+        #: The campaign's subsystem; every entry's program drives it.
+        self.subsystem = subsystem
         self.entries: List[CorpusEntry] = []
         self.records: List[GenerationRecord] = []
         self.global_coverage = baseline
         self.rejected = 0
 
     # -- identity ------------------------------------------------------
-
-    @property
-    def subsystem(self) -> str:
-        """The subsystem of the corpus's programs (``"vfs"`` if empty).
-
-        A campaign breeds within one vocabulary, so all entries agree.
-        """
-        return self.entries[0].program.subsystem if self.entries else "vfs"
 
     @property
     def corpus_id(self) -> str:
@@ -174,7 +174,7 @@ class Corpus:
             if (covered.pairs >= self.global_coverage.pairs
                     and covered.functions >= self.global_coverage.functions):
                 break
-        out = Corpus(self.baseline, seed=self.seed)
+        out = Corpus(self.baseline, seed=self.seed, subsystem=self.subsystem)
         for index, entry in enumerate(sorted(chosen, key=lambda e: e.entry_id)):
             out.entries.append(
                 CorpusEntry(
@@ -193,14 +193,14 @@ class Corpus:
     # -- persistence ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
+        return subsystems.get(self.subsystem).tag({
             "schema": SCHEMA,
             "corpus_id": self.corpus_id,
             "seed": self.seed,
             "baseline": self.baseline.to_dict(),
             "entries": [entry.to_dict() for entry in self.entries],
             "records": [record.to_dict() for record in self.records],
-        }
+        })
 
     def save(self, path: str) -> None:
         # Atomic (tmp + rename): a fuzzing campaign killed mid-save can
@@ -217,9 +217,25 @@ class Corpus:
                 f"unsupported corpus schema {data.get('schema')!r} "
                 f"(expected {SCHEMA!r})"
             )
-        corpus = cls(CoverageMap.from_dict(data["baseline"]), seed=int(data["seed"]))
-        for entry_data in data["entries"]:
-            entry = CorpusEntry.from_dict(entry_data)
+        entries = [CorpusEntry.from_dict(e) for e in data["entries"]]
+        if "subsystem" in data or not entries:
+            subsystem = subsystems.of(data).name
+        else:
+            # Files written before the corpus carried its own key name
+            # the subsystem on each program only.
+            subsystem = entries[0].program.subsystem
+        strays = {e.program.subsystem for e in entries} - {subsystem}
+        if strays:
+            raise ValueError(
+                f"corpus of subsystem {subsystem!r} holds programs of "
+                f"{', '.join(sorted(strays))}"
+            )
+        corpus = cls(
+            CoverageMap.from_dict(data["baseline"]),
+            seed=int(data["seed"]),
+            subsystem=subsystem,
+        )
+        for entry in entries:
             corpus.entries.append(entry)
             corpus.global_coverage = corpus.global_coverage.union(entry.coverage)
         corpus.records = [GenerationRecord.from_dict(r) for r in data.get("records", [])]

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.db.database import TraceDatabase
+from repro.workloads import subsystems
 from repro.workloads.coverage import executed_functions
 
 #: One feedback pair: (type_key, member, access_type, lockset string).
@@ -122,42 +123,20 @@ def execute_program(program, scale_pool: bool = False) -> Execution:
     from repro.kernel.sched import Scheduler
 
     reset_id_counters()
-    subsystem = getattr(program, "subsystem", "vfs")
-    if subsystem == "net":
-        from repro.kernel.net.world import NetWorld
-
-        world = NetWorld(seed=program.sched_seed * 2 + 1)
-        world.boot()
-    else:
-        from repro.kernel.vfs.fs import VfsWorld
-
-        world = VfsWorld(seed=program.sched_seed * 2 + 1)
-        world.boot()
+    subsystem = subsystems.get(program.subsystem)
+    world = subsystem.world_class(seed=program.sched_seed * 2 + 1)
+    world.boot()
     scheduler = Scheduler(world.rt, seed=program.sched_seed)
     for name, body in program.compile(world):
         scheduler.spawn(name, body)
     steps = scheduler.run()
-    db = _import(world, subsystem)
+    db = subsystem.import_world(world)
     return Execution(
         coverage=CoverageMap.of_database(db),
         events=len(world.rt.tracer.events),
         steps=steps,
         db=db,
     )
-
-
-def _import(world, subsystem: str = "vfs") -> TraceDatabase:
-    from repro.db.importer import import_tracer
-
-    if subsystem == "net":
-        from repro.kernel.net.groundtruth import build_net_filter_config
-
-        filters = build_net_filter_config()
-    else:
-        from repro.kernel.vfs.groundtruth import build_filter_config
-
-        filters = build_filter_config()
-    return import_tracer(world.rt.tracer, world.rt.structs, filters)
 
 
 def execute_program_dict(program_dict: dict) -> dict:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Tuple
 
-from repro.fuzz.program import _ARITY, SyscallOp, SyscallProgram, kinds_for
+from repro.fuzz.program import _ARITY, SyscallOp, SyscallProgram
+from repro.workloads import subsystems
 
 #: Bounds keeping candidates cheap to execute.
 MAX_THREADS = 4
@@ -21,13 +22,15 @@ MAX_OPS_PER_THREAD = 24
 _ARG_RANGE = 64  # raw slot values; consumers reduce modulo pool sizes
 
 
-def random_op(rng: random.Random, subsystem: str = "vfs") -> SyscallOp:
+def random_op(
+    rng: random.Random, subsystem: str = subsystems.DEFAULT
+) -> SyscallOp:
     """One random op from *subsystem*'s vocabulary.
 
     For vfs the draw sequence is identical to the historical one (same
     ``rng.choice`` over the same tuple), so seeded campaigns reproduce.
     """
-    kind = rng.choice(kinds_for(subsystem))
+    kind = rng.choice(subsystems.get(subsystem).op_kinds)
     return SyscallOp(
         kind, tuple(rng.randrange(_ARG_RANGE) for _ in range(_ARITY[kind]))
     )
@@ -37,7 +40,7 @@ def random_program(
     rng: random.Random,
     max_threads: int = MAX_THREADS,
     max_ops: int = MAX_OPS_PER_THREAD,
-    subsystem: str = "vfs",
+    subsystem: str = subsystems.DEFAULT,
 ) -> SyscallProgram:
     """A fresh random candidate (corpus bootstrap / exploration)."""
     nthreads = rng.randint(1, max_threads)

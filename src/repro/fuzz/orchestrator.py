@@ -31,6 +31,7 @@ from repro.fuzz.corpus import Corpus, GenerationRecord
 from repro.fuzz.feedback import CoverageMap, execute_batch, execute_program
 from repro.fuzz.mutate import mutate, random_program, splice
 from repro.fuzz.program import SyscallProgram
+from repro.workloads import registry, subsystems
 
 
 @dataclass
@@ -44,8 +45,8 @@ class FuzzConfig:
     jobs: Optional[int] = None
     max_threads: int = 4
     max_ops: int = 24
-    #: Which simulated subsystem the campaign fuzzes ("vfs" or "net").
-    subsystem: str = "vfs"
+    #: Which simulated subsystem the campaign fuzzes.
+    subsystem: str = subsystems.DEFAULT
     #: Probability mix for candidate breeding.
     p_mutate: float = 0.70
     p_splice: float = 0.15  # remainder is fresh random programs
@@ -69,19 +70,12 @@ class FuzzOutcome:
 
 
 def baseline_coverage(
-    seed: int, scale: float, subsystem: str = "vfs"
+    seed: int, scale: float, subsystem: str = subsystems.DEFAULT
 ) -> CoverageMap:
-    """Coverage of the seed workload: the benchmark mix for vfs, the
-    socket benchmark for net."""
-    if subsystem == "net":
-        from repro.workloads.net import NetBench
-
-        result = NetBench(seed=seed, scale=scale).run()
-        return CoverageMap.of_database(result.to_database())
-    from repro.workloads.mix import BenchmarkMix
-
-    mix = BenchmarkMix(seed=seed, scale=scale).run()
-    return CoverageMap.of_database(mix.to_database())
+    """Coverage of the subsystem's baseline workload (the benchmark mix
+    for vfs, the socket benchmark for net)."""
+    result = registry.run(subsystems.get(subsystem).baseline, seed, scale)
+    return CoverageMap.of_database(result.to_database())
 
 
 class FuzzOrchestrator:
@@ -116,7 +110,7 @@ class FuzzOrchestrator:
     def run(self, baseline: Optional[CoverageMap] = None) -> FuzzOutcome:
         config = self.config
         if baseline is None:
-            workload = "netbench" if config.subsystem == "net" else "mix"
+            workload = subsystems.get(config.subsystem).baseline
             self._progress(
                 f"baseline: {workload} seed={config.seed} "
                 f"scale={config.baseline_scale}"
@@ -124,7 +118,7 @@ class FuzzOrchestrator:
             baseline = baseline_coverage(
                 config.seed, config.baseline_scale, config.subsystem
             )
-        corpus = Corpus(baseline, seed=config.seed)
+        corpus = Corpus(baseline, seed=config.seed, subsystem=config.subsystem)
         self._progress(
             f"baseline coverage: {baseline.pair_count} pairs, "
             f"{baseline.function_count} functions"

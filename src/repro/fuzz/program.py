@@ -30,6 +30,7 @@ from repro.kernel.context import ExecutionContext
 from repro.kernel.runtime import pinned
 from repro.kernel.vfs import dentry as dops, inode as iops, jbd2
 from repro.kernel.vfs.fs import VfsWorld
+from repro.workloads import subsystems
 from repro.workloads.base import ThreadBody, Workload
 
 #: Filesystem types a program may name (mounted by ``VfsWorld.boot``).
@@ -95,15 +96,6 @@ _ARITY: Dict[str, int] = {
 }
 
 
-def kinds_for(subsystem: str) -> Tuple[str, ...]:
-    """The op vocabulary of *subsystem* (``vfs`` or ``net``)."""
-    if subsystem == "vfs":
-        return OP_KINDS
-    if subsystem == "net":
-        return NET_OP_KINDS
-    raise ValueError(f"unknown fuzz subsystem {subsystem!r}")
-
-
 @dataclass(frozen=True)
 class SyscallOp:
     """One typed operation: a kind plus small-integer argument slots."""
@@ -134,8 +126,8 @@ class SyscallProgram:
 
     threads: List[List[SyscallOp]] = field(default_factory=list)
     sched_seed: int = 0
-    #: Which simulated subsystem the program drives ("vfs" or "net").
-    subsystem: str = "vfs"
+    #: Which simulated subsystem the program drives.
+    subsystem: str = subsystems.DEFAULT
 
     # -- identity ------------------------------------------------------
 
@@ -154,24 +146,32 @@ class SyscallProgram:
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = {
+        return subsystems.get(self.subsystem).tag({
             "sched_seed": self.sched_seed,
             "threads": [[op.to_list() for op in t] for t in self.threads],
-        }
-        # Omitted for vfs so existing corpus JSON stays byte-identical.
-        if self.subsystem != "vfs":
-            data["subsystem"] = self.subsystem
-        return data
+        })
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyscallProgram":
+        """Parse and validate: an unknown subsystem, or an op outside
+        the subsystem's vocabulary, raises ``ValueError``."""
+        subsystem = subsystems.of(data)
+        threads = [
+            [SyscallOp.from_list(op) for op in thread]
+            for thread in data.get("threads", [])
+        ]
+        kinds = subsystem.op_kinds
+        for thread in threads:
+            for op in thread:
+                if op.kind not in kinds:
+                    raise ValueError(
+                        f"op {op.kind!r} is not in the {subsystem.name} "
+                        f"vocabulary"
+                    )
         return cls(
-            threads=[
-                [SyscallOp.from_list(op) for op in thread]
-                for thread in data.get("threads", [])
-            ],
+            threads=threads,
             sched_seed=int(data.get("sched_seed", 0)),
-            subsystem=str(data.get("subsystem", "vfs")),
+            subsystem=subsystem.name,
         )
 
     # -- compilation ---------------------------------------------------
@@ -180,7 +180,7 @@ class SyscallProgram:
         """``(name, body)`` pairs driving *world* — the workload shape
         every scheduler consumer expects.  The world must match the
         program's subsystem (:class:`VfsWorld` or ``NetWorld``)."""
-        body = _net_thread_body if self.subsystem == "net" else _thread_body
+        body = subsystems.get(self.subsystem).thread_body
         return [
             (f"fuzz/{index}", body(world, list(ops)))
             for index, ops in enumerate(self.threads)

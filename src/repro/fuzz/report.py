@@ -25,8 +25,9 @@ from repro.core.observations import ObservationTable
 from repro.core.report import render_table
 from repro.db.database import TraceDatabase
 from repro.fuzz.corpus import Corpus
-from repro.fuzz.feedback import CoverageMap, execute_program, pairs_of
-from repro.workloads.coverage import build_catalog, subsystem_directories
+from repro.fuzz.feedback import execute_program, pairs_of
+from repro.workloads import registry, subsystems
+from repro.workloads.coverage import build_catalog
 
 #: s_r histogram buckets (upper bounds, inclusive for the last).
 _SR_BUCKETS: Tuple[Tuple[str, float], ...] = (
@@ -146,15 +147,8 @@ def build_fuzz_report(
     """Run the baseline workload + every corpus program, derive both
     views, compare.  The baseline matches the corpus's subsystem: the
     benchmark mix for vfs corpora, netbench for net corpora."""
-    subsystem = corpus.subsystem
-    if subsystem == "net":
-        from repro.workloads.net import NetBench
-
-        mix = NetBench(seed=seed, scale=scale).run()
-    else:
-        from repro.workloads.mix import BenchmarkMix
-
-        mix = BenchmarkMix(seed=seed, scale=scale).run()
+    subsystem = subsystems.get(corpus.subsystem)
+    mix = registry.run(subsystem.baseline, seed, scale)
     mix_world = mix.world
     mix_db = mix.to_database()
     mix_pairs = set(pairs_of(mix_db))
@@ -176,9 +170,9 @@ def build_fuzz_report(
     baseline_sr = SrDistribution.of(derivator.derive(mix_table))
     combined_sr = SrDistribution.of(derivator.derive(combined_table))
 
-    catalog = build_catalog(mix_world, subsystem)
+    catalog = build_catalog(mix_world, subsystem.name)
     coverage_rows = []
-    for directory in subsystem_directories(subsystem):
+    for directory in subsystem.directories:
         members = [e for e in catalog if e.directory == directory]
         if not members:
             continue

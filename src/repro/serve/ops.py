@@ -23,6 +23,7 @@ import os
 from typing import Any, Callable, Dict, Tuple
 
 from repro.experiments import common as experiments_common
+from repro.workloads.registry import RECIPES
 
 #: field -> (coercer, default); a default of ``_REQUIRED`` must be given.
 _REQUIRED = object()
@@ -116,7 +117,7 @@ def validate(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
             raise ValueError(f"missing required parameter {name!r} for {op!r}")
         else:
             canonical[name] = default
-    if op == "health" and canonical["registry"] not in ("vfs", "racer", "net"):
+    if op == "health" and canonical["registry"] not in RECIPES:
         raise ValueError(f"unknown registry {canonical['registry']!r}")
     return canonical
 

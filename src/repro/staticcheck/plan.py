@@ -35,10 +35,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.kernel.net.groundtruth import build_net_specs
-from repro.kernel.vfs.groundtruth import build_all_specs
 from repro.kernel.vfs.spec import LockTok, MemberSpec, TypeSpec
 from repro.kernelsrc.model import SourceFunction
+from repro.workloads.subsystems import SUBSYSTEMS
 
 #: One corpus file per data type, placed where the real kernel keeps
 #: the corresponding code.
@@ -360,14 +359,17 @@ def build_corpus_plan(
 ) -> CorpusPlan:
     """Plan the full call-graph corpus from the ground-truth specs.
 
-    The default corpus merges the VFS and net slices, so the static
-    outlier analysis covers both subsystems' planted deviations in one
-    deterministic run (the net plants are all skip-path: the net specs
-    have no zero-weight ruled members).
+    The default corpus merges every registered subsystem's specs, so
+    the static outlier analysis covers the VFS and net slices' planted
+    deviations in one deterministic run (the net plants are all
+    skip-path: the net specs have no zero-weight ruled members).
     """
-    specs = specs if specs is not None else {
-        **build_all_specs(), **build_net_specs(),
-    }
+    if specs is None:
+        specs = {
+            name: spec
+            for subsystem in SUBSYSTEMS.values()
+            for name, spec in subsystem.build_specs().items()
+        }
     config = config or PlanConfig()
     functions: List[SourceFunction] = []
     planted: List[PlantedDeviation] = []

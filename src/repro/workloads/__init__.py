@@ -16,6 +16,8 @@ simulated VFS through scheduler kthreads:
 * :mod:`repro.workloads.journal`   — jbd2 journal workload
 * :mod:`repro.workloads.mix`       — the full benchmark mix
 * :mod:`repro.workloads.coverage`  — code-coverage accounting (Tab. 3)
+* :mod:`repro.workloads.subsystems` — one descriptor per simulated
+  subsystem (vfs, net)
 """
 
 from repro.workloads.base import Workload

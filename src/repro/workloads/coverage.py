@@ -24,78 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.db.database import TraceDatabase
-
-#: Directories reported by Tab. 3.
-TAB3_DIRECTORIES = ("fs", "fs/ext4", "fs/jbd2")
-
-#: Cold-path function counts per directory, calibrated so the benchmark
-#: mix lands in the paper's coverage band (fs ≈ 31 %, ext4 ≈ 32 %,
-#: jbd2 ≈ 43 % of lines).
-COLD_FUNCTIONS = {
-    "fs": 410,
-    "fs/ext4": 26,
-    "fs/jbd2": 92,
-}
-
-#: Directories of the net slice's Tab. 3 second column.
-NET_DIRECTORIES = ("net", "net/core", "net/ipv4")
-
-#: Cold-path counts for the net slice (own seed: the vfs cold catalog
-#: must keep drawing the exact same rng sequence it always has).
-NET_COLD_FUNCTIONS = {
-    "net": 120,
-    "net/core": 150,
-    "net/ipv4": 40,
-}
-
-
-@dataclass(frozen=True)
-class SubsystemCatalog:
-    """Catalog shape of one simulated subsystem.
-
-    Directory buckets, cold-path sizing, and the modules to scan for
-    hand-written kernel functions all derive from this registration —
-    nothing downstream assumes ``fs/``-rooted paths.
-    """
-
-    directories: Tuple[str, ...]
-    cold_functions: Dict[str, int]
-    cold_seed: int
-    #: dotted module names scanned for ``rt.function(...)`` frames.
-    handwritten_modules: Tuple[str, ...]
-
-
-SUBSYSTEM_CATALOGS: Dict[str, SubsystemCatalog] = {
-    "vfs": SubsystemCatalog(
-        directories=TAB3_DIRECTORIES,
-        cold_functions=COLD_FUNCTIONS,
-        cold_seed=0xC01D,
-        handwritten_modules=(
-            "repro.kernel.vfs.bufferhead",
-            "repro.kernel.vfs.dentry",
-            "repro.kernel.vfs.fs",
-            "repro.kernel.vfs.inode",
-            "repro.kernel.vfs.jbd2",
-            "repro.kernel.vfs.pipe",
-            "repro.workloads.perms",
-            "repro.workloads.symlinks",
-        ),
-    ),
-    "net": SubsystemCatalog(
-        directories=NET_DIRECTORIES,
-        cold_functions=NET_COLD_FUNCTIONS,
-        cold_seed=0xC01DBE,
-        handwritten_modules=(
-            "repro.kernel.net.world",
-            "repro.workloads.net",
-        ),
-    ),
-}
-
-
-def subsystem_directories(subsystem: str) -> Tuple[str, ...]:
-    """The Tab. 3 directory buckets of *subsystem*."""
-    return SUBSYSTEM_CATALOGS[subsystem].directories
+from repro.workloads.subsystems import DEFAULT, get
 
 _RT_FUNCTION = re.compile(
     r"(?:self\.)?rt\.function\(\s*ctx,\s*\"([^\"]+)\",\s*([\w\"./-]+),\s*(\d+)"
@@ -145,13 +74,13 @@ class CoverageRow:
         )
 
 
-def _handwritten_entries(subsystem: str = "vfs") -> List[CatalogEntry]:
+def _handwritten_entries(subsystem: str = DEFAULT) -> List[CatalogEntry]:
     """Extract hand-written kernel functions from a subsystem's modules."""
     import importlib
 
     modules = [
         importlib.import_module(name)
-        for name in SUBSYSTEM_CATALOGS[subsystem].handwritten_modules
+        for name in get(subsystem).handwritten_modules
     ]
     entries: Dict[Tuple[str, str], CatalogEntry] = {}
     for module in modules:
@@ -187,13 +116,13 @@ def _engine_entries(world) -> List[CatalogEntry]:
     return entries
 
 
-def _cold_entries(subsystem: str = "vfs") -> List[CatalogEntry]:
+def _cold_entries(subsystem: str = DEFAULT) -> List[CatalogEntry]:
     """Deterministic cold-path catalog (never executed by the mix).
 
     Each subsystem draws from its own seeded rng, so registering a new
     subsystem can never perturb another's span sequence.
     """
-    catalog = SUBSYSTEM_CATALOGS[subsystem]
+    catalog = get(subsystem)
     rng = random.Random(catalog.cold_seed)
     entries = []
     for directory, count in catalog.cold_functions.items():
@@ -209,7 +138,7 @@ def _cold_entries(subsystem: str = "vfs") -> List[CatalogEntry]:
     return entries
 
 
-def build_catalog(world, subsystem: str = "vfs") -> List[CatalogEntry]:
+def build_catalog(world, subsystem: str = DEFAULT) -> List[CatalogEntry]:
     """The full function catalog for one world."""
     return (
         _handwritten_entries(subsystem)
@@ -231,7 +160,7 @@ def coverage_report(
     world,
     db: TraceDatabase,
     directories: Optional[Iterable[str]] = None,
-    subsystem: str = "vfs",
+    subsystem: str = DEFAULT,
 ) -> List[CoverageRow]:
     """Per-directory coverage rows (Tab. 3).
 
@@ -239,7 +168,7 @@ def coverage_report(
     Tab. 3 line is "all files located in the respective directory").
     """
     if directories is None:
-        directories = subsystem_directories(subsystem)
+        directories = get(subsystem).directories
     catalog = build_catalog(world, subsystem)
     executed = executed_functions(db)
     rows = []

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.db.database import TraceDatabase
+from repro.workloads import subsystems
 
 #: factory(seed, scale) -> result with ``.tracer`` / ``.to_database()``.
 WorkloadFactory = Callable[[int, float], object]
@@ -69,8 +70,22 @@ def db_recipe(name: str) -> str:
     if recipe is not None:
         return recipe
     if name.startswith(_PREFIX_FUZZ):
-        return "net" if _fuzz_subsystem(name) == "net" else "vfs"
+        return subsystems.get(_fuzz_subsystem(name)).recipe
     raise ValueError(f"unknown workload {name!r}")
+
+
+#: recipe -> (struct-registry builder, filter builder or ``None``).
+RECIPES: Dict[str, Tuple[str, Optional[str]]] = {
+    "vfs": (
+        "repro.kernel.vfs.layouts:build_struct_registry",
+        "repro.kernel.vfs.groundtruth:build_filter_config",
+    ),
+    "racer": ("repro.workloads.racer:build_racer_registry", None),
+    "net": (
+        "repro.workloads.net:build_net_registry",
+        "repro.workloads.net:build_net_filters",
+    ),
+}
 
 
 def database_inputs(recipe: str):
@@ -80,18 +95,13 @@ def database_inputs(recipe: str):
     trace imported through this pair matches an import through the
     original run result's ``to_database()``.
     """
-    if recipe == "racer":
-        from repro.workloads.racer import build_racer_registry
-
-        return build_racer_registry(), None
-    if recipe == "net":
-        from repro.workloads.net import build_net_filters, build_net_registry
-
-        return build_net_registry(), build_net_filters()
-    from repro.kernel.vfs.groundtruth import build_filter_config
-    from repro.kernel.vfs.layouts import build_struct_registry
-
-    return build_struct_registry(), build_filter_config()
+    if recipe not in RECIPES:
+        raise ValueError(f"unknown database recipe {recipe!r}")
+    structs, filters = RECIPES[recipe]
+    return (
+        subsystems.load(structs)(),
+        subsystems.load(filters)() if filters else None,
+    )
 
 
 def available() -> List[str]:
@@ -125,15 +135,15 @@ def _load_fuzz_corpus(path: str):
 
 
 def _fuzz_subsystem(name: str) -> str:
-    """The subsystem of a ``fuzz:<ref>`` workload (``"vfs"`` when the
+    """The subsystem of a ``fuzz:<ref>`` workload (the default when the
     ref is not a loadable corpus file — resolution errors out later)."""
     ref = name[len(_PREFIX_FUZZ):]
     if os.path.exists(ref):
         try:
             return _load_fuzz_corpus(ref).subsystem
         except ValueError:
-            return "vfs"
-    return "vfs"
+            return subsystems.DEFAULT
+    return subsystems.DEFAULT
 
 
 def available_by_subsystem() -> Dict[str, List[str]]:
@@ -263,24 +273,14 @@ class CorpusRunResult:
     world: object
     scheduler: object
     steps: int
-    subsystem: str = "vfs"
+    subsystem: str = subsystems.DEFAULT
 
     @property
     def tracer(self):
         return self.world.rt.tracer
 
     def to_database(self) -> TraceDatabase:
-        from repro.db.importer import import_tracer
-
-        if self.subsystem == "net":
-            from repro.kernel.net.groundtruth import build_net_filter_config
-
-            filters = build_net_filter_config()
-        else:
-            from repro.kernel.vfs.groundtruth import build_filter_config
-
-            filters = build_filter_config()
-        return import_tracer(self.tracer, self.world.rt.structs, filters)
+        return subsystems.get(self.subsystem).import_world(self.world)
 
 
 def _run_corpus(corpus, seed: int, scale: float) -> CorpusRunResult:
@@ -293,14 +293,7 @@ def _run_corpus(corpus, seed: int, scale: float) -> CorpusRunResult:
     from repro.kernel.sched import Scheduler
 
     reset_id_counters()
-    if corpus.subsystem == "net":
-        from repro.kernel.net.world import NetWorld
-
-        world = NetWorld(seed=seed)
-    else:
-        from repro.kernel.vfs.fs import VfsWorld
-
-        world = VfsWorld(seed=seed)
+    world = subsystems.get(corpus.subsystem).world_class(seed=seed)
     world.boot()
     scheduler = Scheduler(world.rt, seed=seed + 1)
     repeats = max(1, int(scale))
@@ -332,7 +325,7 @@ def register_corpus(corpus, name: Optional[str] = None) -> str:
         registered,
         lambda seed, scale: _run_corpus(corpus, seed, scale),
         f"fuzzed corpus ({len(corpus.entries)} programs)",
-        db_recipe="net" if corpus.subsystem == "net" else "vfs",
+        db_recipe=subsystems.get(corpus.subsystem).recipe,
         subsystem=corpus.subsystem,
     )
     return registered

@@ -16,8 +16,8 @@ from repro.fuzz.program import (
     OP_KINDS,
     SyscallOp,
     SyscallProgram,
-    kinds_for,
 )
+from repro.workloads import subsystems
 import random
 
 
@@ -25,11 +25,11 @@ import random
 # Vocabulary
 # ----------------------------------------------------------------------
 
-def test_kinds_for_selects_the_vocabulary():
-    assert kinds_for("vfs") is OP_KINDS
-    assert kinds_for("net") is NET_OP_KINDS
+def test_subsystem_descriptor_selects_the_vocabulary():
+    assert subsystems.get("vfs").op_kinds is OP_KINDS
+    assert subsystems.get("net").op_kinds is NET_OP_KINDS
     with pytest.raises(ValueError):
-        kinds_for("scsi")
+        subsystems.get("scsi")
 
 
 def test_vocabularies_do_not_overlap():

@@ -81,9 +81,9 @@ def test_experiment_rejects_net_only_workloads(capsys):
 # ----------------------------------------------------------------------
 
 def test_tab3net_reports_partial_net_coverage():
-    from repro.experiments.tab3net import run
+    from repro.experiments.tab3 import run
 
-    result = run(seed=0, scale=2.0)
+    result = run(seed=0, scale=2.0, subsystem="net")
     directories = [row.directory for row in result.rows]
     assert directories == ["net", "net/core", "net/ipv4"]
     for row in result.rows:
@@ -93,9 +93,9 @@ def test_tab3net_reports_partial_net_coverage():
 
 
 def test_tab6net_mines_rules_for_every_net_type():
-    from repro.experiments.tab6net import run
+    from repro.experiments.tab6 import run
 
-    result = run(seed=0, scale=2.0)
+    result = run(seed=0, scale=2.0, subsystem="net")
     assert [row.type_key for row in result.rows] == [
         "net_device", "sk_buff", "sock", "socket_wq",
     ]

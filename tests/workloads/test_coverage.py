@@ -1,7 +1,7 @@
 """Tests for the coverage accounting (Tab. 3 substrate)."""
 
+from repro.workloads import subsystems
 from repro.workloads.coverage import (
-    COLD_FUNCTIONS,
     CatalogEntry,
     CoverageRow,
     build_catalog,
@@ -93,7 +93,7 @@ def test_cold_entries_are_deterministic_and_counted():
     by_dir = {}
     for entry in first:
         by_dir[entry.directory] = by_dir.get(entry.directory, 0) + 1
-    assert by_dir == COLD_FUNCTIONS
+    assert by_dir == subsystems.get("vfs").cold_functions
 
 
 def test_coverage_report_per_directory_accounting():

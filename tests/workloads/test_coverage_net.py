@@ -1,20 +1,18 @@
 """Subsystem-generalized coverage catalogs.
 
-The CoverageMap/Tab. 3 accounting grew a per-subsystem registration
-(:data:`SUBSYSTEM_CATALOGS`).  These tests freeze the VFS catalog
-byte-for-byte — registering the net slice must not move a single vfs
-number — and pin the net catalog's own shape.
+The CoverageMap/Tab. 3 accounting reads its catalog shape from the
+subsystem descriptors (:data:`repro.workloads.subsystems.SUBSYSTEMS`).
+These tests freeze the VFS catalog byte-for-byte — registering the net
+slice must not move a single vfs number — and pin the net catalog's
+own shape.
 """
 
 import hashlib
 
-from repro.workloads.coverage import (
-    NET_COLD_FUNCTIONS,
-    SUBSYSTEM_CATALOGS,
-    _cold_entries,
-    _handwritten_entries,
-    subsystem_directories,
-)
+from repro.workloads.coverage import _cold_entries, _handwritten_entries
+from repro.workloads.subsystems import SUBSYSTEMS, get
+
+NET_COLD_FUNCTIONS = get("net").cold_functions
 
 # Frozen before the net slice landed; any drift here means subsystem
 # registration perturbed the vfs accounting.
@@ -49,8 +47,8 @@ def test_vfs_handwritten_catalog_is_byte_identical():
 
 def test_cold_seeds_are_independent():
     """Each subsystem draws its cold spans from its own seeded rng."""
-    seeds = {c.cold_seed for c in SUBSYSTEM_CATALOGS.values()}
-    assert len(seeds) == len(SUBSYSTEM_CATALOGS)
+    seeds = {s.cold_seed for s in SUBSYSTEMS.values()}
+    assert len(seeds) == len(SUBSYSTEMS)
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +56,7 @@ def test_cold_seeds_are_independent():
 # ----------------------------------------------------------------------
 
 def test_net_directories():
-    assert subsystem_directories("net") == ("net", "net/core", "net/ipv4")
+    assert get("net").directories == ("net", "net/core", "net/ipv4")
 
 
 def test_net_cold_catalog_matches_the_registration():
