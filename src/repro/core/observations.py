@@ -96,6 +96,11 @@ def _by_count(counts: Dict[LockSeq, int]) -> List[Tuple[LockSeq, int]]:
 class ObservationTable:
     """All observations of a trace, indexed by (type_key, member, type)."""
 
+    #: Memo of :meth:`type_keys`; dropped whenever a new target arrives
+    #: and never pickled.  A class default, so pickles that predate it
+    #: load.
+    _type_keys: Optional[List[str]] = None
+
     def __init__(self, split_subclasses: bool = True, write_over_read: bool = True):
         self.split_subclasses = split_subclasses
         self.write_over_read = write_over_read
@@ -143,6 +148,7 @@ class ObservationTable:
         groups = self._groups.get(key)
         if groups is None:
             groups = self._groups[key] = {}
+            self._type_keys = None
         group = groups.get(lockseq)
         if group is None:
             group = groups[lockseq] = FoldGroup(Sample(*first))
@@ -182,6 +188,7 @@ class ObservationTable:
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["_sorted_seqs"] = {}
+        state.pop("_type_keys", None)
         return state
 
     # ------------------------------------------------------------------
@@ -192,7 +199,11 @@ class ObservationTable:
         return sorted(self._groups)
 
     def type_keys(self) -> List[str]:
-        return sorted({key[0] for key in self._groups})
+        """Sorted type keys.  The returned list is cached and shared —
+        callers must not mutate it."""
+        if self._type_keys is None:
+            self._type_keys = sorted({key[0] for key in self._groups})
+        return self._type_keys
 
     def members_of(self, type_key: str) -> List[str]:
         return sorted({m for (tk, m, _) in self._groups if tk == type_key})

@@ -117,9 +117,14 @@ class Corpus:
 
     @property
     def corpus_id(self) -> str:
-        """Deterministic id: seed + admitted program structure."""
+        """Deterministic id: seed + subsystem + admitted program
+        structure.  The subsystem is hashed as its tag, which the
+        default slice leaves out, so vfs ids stay as they were."""
         digest = hashlib.sha256()
         digest.update(str(self.seed).encode())
+        tag = subsystems.get(self.subsystem).tag({})
+        if tag:
+            digest.update(json.dumps(tag, sort_keys=True).encode())
         for entry in self.entries:
             digest.update(json.dumps(entry.program.to_dict(), sort_keys=True).encode())
         return digest.hexdigest()[:12]

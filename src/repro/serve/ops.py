@@ -19,9 +19,12 @@ coalescing normalizer: two requests that differ only in param spelling
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Any, Callable, Dict, Tuple
 
+from repro import cache
+from repro.core.selection import DEFAULT_ACCEPT_THRESHOLD
 from repro.experiments import common as experiments_common
 from repro.workloads.registry import RECIPES
 
@@ -210,9 +213,14 @@ def _run_violations(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+#: Workloads whose ``races`` runs the simulation live instead of
+#: reading the pipeline's cached artifacts.
+_LIVE_RACES = ("racer", "racer-safe")
+
+
 def _run_races(params: Dict[str, Any]) -> Dict[str, Any]:
     backend = params["backend"]
-    if params["workload"] not in ("racer", "racer-safe"):
+    if params["workload"] not in _LIVE_RACES:
         pipeline = _pipeline(params)
         candidates = pipeline.race_candidates(backend)
         report = candidates.classify(
@@ -320,3 +328,81 @@ def execute(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Run one validated operation; returns the JSON-able result."""
     canonical = validate(op, params)
     return _RUNNERS[op](canonical)
+
+
+# ---------------------------------------------------------------------
+# The daemon parent's warm state (inherited by every forked worker)
+# ---------------------------------------------------------------------
+
+#: Every module the runners import lazily: in their bodies, through the
+#: pipeline (``race_candidates``, the sqlite store), through the
+#: classes their artifacts unpickle, and through the recipe builders
+#: of :data:`RECIPES` (``health``).  ``import repro.serve.ops`` stays
+#: lean (``tests/test_import_footprint.py``); :func:`warm` imports them.
+_WARM_MODULES = (
+    "repro.analysis.racedetect",
+    "repro.core.checker",
+    "repro.core.report",
+    "repro.core.rulesio",
+    "repro.core.violations",
+    "repro.db.health",
+    "repro.db.importer",
+    "repro.db.sqlstore",
+    "repro.doc.corpus",
+    "repro.experiments.stats",
+    "repro.workloads.racer",
+)
+
+
+def warm() -> None:
+    """Import every module a runner needs and compute both cache
+    revisions, once, in the daemon parent: workers forked afterwards
+    inherit both instead of paying for them per request, and the
+    revision names the code they actually run."""
+    for name in _WARM_MODULES:
+        importlib.import_module(name)
+    for builders in RECIPES.values():
+        for ref in builders:
+            if ref is not None:
+                importlib.import_module(ref.split(":", 1)[0])
+    cache.kernel_revision()
+    cache.analysis_revision()
+
+
+#: The cache artifacts each memory-backend pipeline runner reads once
+#: its key is warm.
+_READS: Dict[str, Callable[[Dict[str, Any]], Tuple[str, ...]]] = {
+    "derive": lambda p: (
+        experiments_common.derivation_artifact(p["threshold"]),
+    ),
+    "check": lambda p: ("table-split",),
+    "violations": lambda p: (
+        "table-split",
+        experiments_common.derivation_artifact(DEFAULT_ACCEPT_THRESHOLD),
+    ),
+    "races": lambda p: (
+        ()
+        if p["workload"] in _LIVE_RACES
+        else (
+            experiments_common.race_candidates_artifact(),
+            experiments_common.derivation_artifact(p["threshold"]),
+        )
+    ),
+    "stats": lambda p: ("db-stats",),
+}
+
+
+def keep_resident(op: str, params: Dict[str, Any]) -> Tuple[str, ...]:
+    """In the daemon parent, after a worker answered *op* ``ok``: load
+    (never compute) the artifacts it read, so later workers inherit
+    them (:func:`repro.experiments.common.keep_resident`).  Returns the
+    names newly loaded."""
+    reads = _READS.get(op)
+    if reads is None or params["backend"] != "memory":
+        return ()
+    artifacts = reads(params)
+    if not artifacts:
+        return ()
+    return tuple(experiments_common.keep_resident(
+        params["workload"], params["seed"], params["scale"], artifacts
+    ))

@@ -20,6 +20,11 @@ every robustness mechanism of the envelope:
   then classified ``WORKER_CRASH``;
 * **recovery** — before accepting, a sweep quarantines torn cache
   entries (see :mod:`repro.serve.recovery`);
+* **warm parent** — before accepting, the parent imports what the
+  runners need and computes the cache revision, and after each ``ok``
+  pipeline reply it loads the artifacts the worker read: every worker
+  forks with all of it in place (:func:`repro.serve.ops.warm`,
+  :func:`repro.serve.ops.keep_resident`);
 * **observability** — every event lands in the JSON-lines structured
   log; ``status`` reports live counters.
 
@@ -70,8 +75,11 @@ class ServerConfig:
     #: waiting on a worker slot); beyond it requests are shed.
     max_inflight: int = 32
     #: Per-client token bucket: sustained requests/s and burst size.
-    bucket_rate: float = 20.0
-    bucket_burst: float = 40.0
+    #: The warm daemon answers its fastest op (``stats``) in ~7 ms, so
+    #: one closed-loop client can send ~140 requests/s; the default
+    #: must not refuse that client, only a flood.
+    bucket_rate: float = 200.0
+    bucket_burst: float = 400.0
     #: Deadline applied when the client sends none.
     default_deadline: float = 300.0
     #: Retry hint handed out when shedding load.
@@ -147,6 +155,7 @@ class AnalysisServer:
             self.sweep_report = recovery.sweep()
             for name, reason in self.sweep_report.quarantined:
                 self.log.emit("sweep_quarantine", file=name, reason=reason)
+        ops.warm()
         await self._claim_socket()
         self._server = await asyncio.start_unix_server(
             self._handle_conn, path=str(self.config.socket_path), limit=MAX_LINE
@@ -389,6 +398,12 @@ class AnalysisServer:
                 "daemon shut down mid-request",
             )
         if outcome.status == "ok":
+            if not coalesced:
+                # Runs after this reply is written: nothing between
+                # here and the handler's write yields to the loop.
+                asyncio.get_running_loop().call_soon(
+                    self._keep_resident, request.op, params
+                )
             return Response.ok(
                 request.request_id,
                 outcome.result or {},
@@ -467,6 +482,18 @@ class AnalysisServer:
                     self.counters["worker_retries"] += 1
                     continue
             return outcome, attempt + 1
+
+    def _keep_resident(self, op: str, params: Dict[str, Any]) -> None:
+        loaded = ops.keep_resident(op, params)
+        if loaded:
+            self.log.emit(
+                "resident",
+                op=op,
+                workload=params["workload"],
+                seed=params["seed"],
+                scale=params["scale"],
+                artifacts=list(loaded),
+            )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,6 +14,7 @@ import pytest
 from repro.experiments.common import get_pipeline
 from repro.kernel.runtime import KernelRuntime
 from repro.kernel.structs import Member, StructDef, StructRegistry
+from repro.workloads import registry
 
 #: Scale used by the shared test pipeline — statistics-bearing tests
 #: need a reasonably deep trace; heavier sweeps live in benchmarks/.
@@ -30,6 +31,27 @@ def _isolated_trace_cache(tmp_path_factory):
     """
     os.environ["LOCKDOC_CACHE_DIR"] = str(tmp_path_factory.mktemp("trace-cache"))
     yield
+
+
+#: The module-global tables of :mod:`repro.workloads.registry` that
+#: registering a workload or loading a corpus writes to.
+_REGISTRY_TABLES = (
+    "_REGISTRY", "_HELP", "_DB_RECIPES", "_SUBSYSTEMS", "_FUZZ_PATH_CACHE",
+)
+
+
+@pytest.fixture(autouse=True)
+def _restore_workload_registry():
+    """Undo every workload a test registers (``fuzz run`` registers
+    its corpus as ``fuzz:<id>``), so none leaks into another test's
+    unknown-workload listing.  Restored in place: other modules may
+    hold the tables themselves."""
+    saved = {name: dict(getattr(registry, name)) for name in _REGISTRY_TABLES}
+    yield
+    for name, contents in saved.items():
+        table = getattr(registry, name)
+        table.clear()
+        table.update(contents)
 
 
 @pytest.fixture(scope="session")

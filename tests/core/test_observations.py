@@ -122,3 +122,31 @@ def test_keys_and_members(rt):
     assert ("pair", "a", "w") in table.keys()
     assert table.members_of("pair") == ["a", "b"]
     assert table.type_keys() == ["pair"]
+
+
+def _add(table, key, lockseq=()):
+    table.add(key, lockseq, (0, "f.c", 1, 0), 1, 1, [0], [("f.c", 1)])
+
+
+def test_type_keys_memo_drops_only_on_a_new_target():
+    table = ObservationTable()
+    _add(table, ("pair", "a", "w"))
+    keys = table.type_keys()
+    assert keys == ["pair"] and table.type_keys() is keys
+    _add(table, ("pair", "a", "w"), ("lock_a",))  # known target
+    assert table.type_keys() is keys
+    _add(table, ("inode:ext4", "i_size", "r"))
+    assert table.type_keys() == ["inode:ext4", "pair"]
+
+
+def test_type_keys_memo_stays_out_of_pickles():
+    import pickle
+
+    table = ObservationTable()
+    _add(table, ("pair", "a", "w"))
+    before = pickle.dumps(table)
+    table.type_keys()
+    assert pickle.dumps(table) == before
+    # A pickle without the memo (every pickle, and those written
+    # before it existed) loads and answers.
+    assert pickle.loads(before).type_keys() == ["pair"]

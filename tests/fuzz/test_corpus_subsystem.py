@@ -46,10 +46,7 @@ def _corpus_file(tmp_path, program, **top):
 # The corpus's own subsystem
 # ----------------------------------------------------------------------
 
-def test_empty_net_campaign_reports_against_netbench(tmp_path, capsys, monkeypatch):
-    # `fuzz run` registers its corpus; keep that out of other tests.
-    for table in ("_REGISTRY", "_HELP", "_DB_RECIPES", "_SUBSYSTEMS"):
-        monkeypatch.setattr(registry, table, dict(getattr(registry, table)))
+def test_empty_net_campaign_reports_against_netbench(tmp_path, capsys):
     path = str(tmp_path / "net.json")
     assert cli.main([
         "fuzz", "run", "--subsystem", "net", "--generations", "0",
@@ -65,6 +62,30 @@ def test_empty_net_campaign_reports_against_netbench(tmp_path, capsys, monkeypat
     assert f"feedback pairs           {pairs} -> {pairs}" in out
     coverage = out.split("Tab. 3-style coverage", 1)[1].splitlines()[3:]
     assert [line.split()[0] for line in coverage] == ["net", "net/core", "net/ipv4"]
+
+
+def test_empty_campaigns_of_two_subsystems_have_distinct_ids():
+    baseline = CoverageMap()
+    vfs, net = Corpus(baseline, seed=5), Corpus(baseline, seed=5, subsystem="net")
+    assert vfs.corpus_id != net.corpus_id
+    assert registry.register_corpus(vfs) != registry.register_corpus(net)
+    assert registry.db_recipe(f"fuzz:{net.corpus_id}") == "net"
+    assert registry.db_recipe(f"fuzz:{vfs.corpus_id}") == "vfs"
+
+
+def test_registrations_do_not_outlive_their_test():
+    # The test above registered both ids; the autouse fixture of
+    # tests/conftest.py removed them again.
+    names = {
+        f"fuzz:{Corpus(CoverageMap(), seed=5, subsystem=name).corpus_id}"
+        for name in ("vfs", "net")
+    }
+    assert not names & set(registry.available())
+
+
+def test_vfs_corpus_ids_are_unchanged():
+    # A vfs id digests the seed and the programs alone.
+    assert Corpus(CoverageMap(), seed=0).corpus_id == "5feceb66ffc8"
 
 
 def test_subsystem_key_is_written_only_off_the_default():

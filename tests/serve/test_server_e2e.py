@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,78 @@ class TestBudgetsAndShedding:
             other = daemon.client(client_id="other")
             params = {"trace": trace_file, "registry": "racer"}
             assert other.request("health", params).status == "ok"
+        finally:
+            daemon.close()
+
+
+    def test_default_budget_admits_one_closed_loop_client(self, daemon):
+        # One client sending back to back, as fast as the warm daemon
+        # answers: the default bucket must not refuse it.  (The old
+        # 20/s, burst-40 default did, once its burst ran out.)
+        client = daemon.client(client_id="closed-loop")
+        params = {"workload": "mix", "seed": 0, "scale": 0.5}
+        client.request("stats", params, deadline=300)  # cold fill
+        outcomes = []
+        for _ in range(200):
+            try:
+                outcomes.append(client.request("stats", params).status)
+            except RemoteError as exc:
+                outcomes.append(exc.kind)
+        assert E_RETRY_AFTER not in outcomes
+        assert outcomes == ["ok"] * 200
+
+
+class TestResidentArtifacts:
+    OPS = ("derive", "check", "violations", "races", "stats")
+    PARAMS = {"workload": "mix", "seed": 0, "scale": 0.5}
+
+    def test_replies_survive_cache_clear_and_quarantine(self):
+        from repro.serve import ops, recovery
+
+        reference = {op: ops.execute(op, dict(self.PARAMS))["text"] for op in self.OPS}
+        daemon = Daemon()
+        try:
+            client = daemon.client()
+
+            def replies():
+                return {
+                    op: client.request(op, self.PARAMS, deadline=300).result["text"]
+                    for op in self.OPS
+                }
+
+            assert replies() == reference  # cold fill
+            assert replies() == reference  # warm
+            client.ping()  # the parent loads after replying
+            resident = {
+                name
+                for event in daemon.events() if event["event"] == "resident"
+                for name in event["artifacts"]
+            }
+            assert resident == {
+                "derivation-t0.9", "table-split", "race-candidates", "db-stats",
+            }
+
+            # A loaded artifact torn on disk and set aside by the sweep.
+            cache_dir = Path(daemon.cache_dir)
+            (table,) = cache_dir.glob("*.table-split.pkl")
+            table.write_bytes(table.read_bytes()[:100])
+            swept = recovery.sweep(cache_dir)
+            assert [name for name, _ in swept.quarantined] == [table.name]
+            assert replies() == reference
+
+            # The whole disk tier gone.
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.path.join(_REPO, "src"),
+                "LOCKDOC_CACHE_DIR": daemon.cache_dir,
+            }
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "cache", "clear"],
+                env=env, cwd=_REPO, check=True, capture_output=True,
+            )
+            assert not list(cache_dir.glob("*.pkl"))
+            assert replies() == reference
+            assert replies() == reference  # from the rebuilt disk tier
         finally:
             daemon.close()
 

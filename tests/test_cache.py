@@ -487,3 +487,46 @@ def test_stats_text_is_one_path_whatever_the_db_stats_artifact(cache_dir, state)
     # A missing or corrupt summary is recomputed and stored again.
     db = registry.run("mix", seed=0, scale=SCALE).to_database()
     assert cache.load_artifact("mix", 0, SCALE, "db-stats") == db.summary()
+
+
+# ----------------------------------------------------------------------
+# The daemon parent's resident pipelines
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def resident(cache_dir, monkeypatch):
+    from collections import OrderedDict
+
+    monkeypatch.setattr(common, "_RESIDENT", OrderedDict())
+    return common._RESIDENT
+
+
+def test_keep_resident_never_computes(cache_dir, resident):
+    assert common.keep_resident("racer", 0, 0.5, ["table-split"]) == []
+    assert not common._CACHE and not resident
+    assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
+def test_keep_resident_loads_what_the_disk_holds(cache_dir, resident):
+    table = common.get_pipeline(0, 0.5, "racer").table
+    common._CACHE.clear()
+    names = ["table-split", "db-stats"]  # db-stats never computed
+    assert common.keep_resident("racer", 0, 0.5, names) == ["table-split"]
+    assert common.keep_resident("racer", 0, 0.5, names) == []
+    pipeline = common._CACHE[("racer", 0, 0.5)]
+    assert pipeline.load_cached(names) == []
+    assert pipeline.table.keys() == table.keys()
+
+
+def test_keep_resident_bounds_its_keys_and_drops_cleared_ones(cache_dir, resident):
+    scales = [0.1 * (i + 1) for i in range(common.RESIDENT_KEYS + 1)]
+    for scale in scales:
+        cache.cached_run("racer", 0, scale)
+        common.keep_resident("racer", 0, scale, ["table-split"])
+    kept = [("racer", 0, scale) for scale in scales[1:]]
+    assert list(resident) == kept
+    assert sorted(common._CACHE) == sorted(kept)
+    cache.clear()
+    common.keep_resident("racer", 0, scales[-1], ["table-split"])
+    assert ("racer", 0, scales[-1]) not in common._CACHE
+    assert list(resident) == kept[:-1]
