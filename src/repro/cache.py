@@ -293,6 +293,11 @@ class CachedRun:
             )
         return self._live
 
+    @property
+    def materialized(self) -> bool:
+        """True once the trace was decoded or the workload re-ran live."""
+        return self._tracer is not None or self._live is not None
+
     def _entry_corrupt(self, exc: Exception):
         """Quarantine the damaged entry; all reads go live from now on."""
         quarantine_file(self.path)

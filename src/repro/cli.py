@@ -407,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_run.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="max concurrent worker processes",
+        help="long-lived worker processes (max concurrent requests)",
     )
     serve_run.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",

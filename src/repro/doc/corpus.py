@@ -22,7 +22,7 @@ live at, mirroring where the paper found them (Sec. 7.3).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.rules import LockingRule
 from repro.doc.model import DocumentedRule
@@ -273,19 +273,31 @@ CORPUS_BUILDERS = {
 }
 
 
+_CORPUS: Dict[str, Tuple[DocumentedRule, ...]] = {}
+
+
+def _corpus() -> Dict[str, Tuple[DocumentedRule, ...]]:
+    """Every builder's rules, built and parsed once per process (the
+    rules are frozen, so sharing them is safe)."""
+    if not _CORPUS:
+        for data_type, builder in CORPUS_BUILDERS.items():
+            _CORPUS[data_type] = tuple(builder())
+    return _CORPUS
+
+
 def documented_rules(data_type: str = "") -> List[DocumentedRule]:
-    """The documented-rule corpus; optionally for one data type."""
+    """The documented-rule corpus; optionally for one data type.
+
+    A fresh list on every call, of shared rules."""
+    corpus = _corpus()
     if data_type:
-        return CORPUS_BUILDERS[data_type]()
-    rules: List[DocumentedRule] = []
-    for builder in CORPUS_BUILDERS.values():
-        rules.extend(builder())
-    return rules
+        return list(corpus[data_type])
+    return [rule for rules in corpus.values() for rule in rules]
 
 
 def corpus_counts() -> Dict[str, int]:
     """Number of expanded rules per type (the Tab. 4 #R column)."""
-    counts = {}
-    for data_type, builder in CORPUS_BUILDERS.items():
-        counts[data_type] = sum(len(rule.expand()) for rule in builder())
-    return counts
+    return {
+        data_type: sum(len(rule.expand()) for rule in rules)
+        for data_type, rules in _corpus().items()
+    }

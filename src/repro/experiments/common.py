@@ -15,9 +15,9 @@ are cached at two levels:
   a second ``lockdoc derive`` run skips both the simulation and the
   (dominant) database import.
 
-The analysis daemon's parent adds a third, **resident** level
-(:func:`keep_resident`): it loads the artifacts its workers read, so
-every worker it forks inherits them instead of unpickling them again.
+A reused analysis-daemon worker adds a third, **resident** level
+(:func:`keep_resident`): between requests it keeps the artifacts its
+replies read, within a bound, instead of unpickling them again.
 
 Pipeline artifacts are **lazy**: ``db``/``db_stats``/``table``/
 ``merged_table``/``race_candidates`` compute on first access — from a
@@ -30,7 +30,7 @@ much larger database or decodes the trace.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import cache
 from repro.core.derivator import DerivationResult, Derivator
@@ -99,11 +99,13 @@ class Pipeline:
         self._artifacts: Dict[str, object] = {}
         self._store = None
         self._store_tmp = None
+        self._computed = False
 
     def _artifact(self, name: str, compute):
         """Disk-cached artifact: memo, else load if present, else
         compute + store."""
         if name not in self._artifacts and not self.load_cached((name,)):
+            self._computed = True
             value = self._artifacts[name] = compute()
             cache.store_artifact(self.workload, self.seed, self.scale, name, value)
         return self._artifacts[name]
@@ -125,6 +127,18 @@ class Pipeline:
                     self._artifacts[name] = value
                     loaded.append(name)
         return loaded
+
+    @property
+    def computed(self) -> bool:
+        """True once this pipeline did more than load disk artifacts:
+        ran its workload or decoded its trace, computed an artifact or
+        opened a store."""
+        mix = self.mix
+        return (
+            self._computed
+            or not isinstance(mix, cache.CachedRun)
+            or mix.materialized
+        )
 
     @property
     def db(self) -> TraceDatabase:
@@ -170,6 +184,7 @@ class Pipeline:
         if self._store is None:
             from repro.db import sqlstore
 
+            self._computed = True
             self._store = self._open_or_build_store(sqlstore)
         return self._store
 
@@ -260,9 +275,9 @@ class Pipeline:
 
 _CACHE: Dict[Tuple[str, int, float], Pipeline] = {}
 
-#: The keys :func:`keep_resident` put into ``_CACHE``, least recently
-#: used first.
-_RESIDENT: "OrderedDict[Tuple[str, int, float], None]" = OrderedDict()
+#: The keys :func:`keep_resident` keeps in ``_CACHE``, least recently
+#: used first, each with the artifact names it keeps.
+_RESIDENT: "OrderedDict[Tuple[str, int, float], FrozenSet[str]]" = OrderedDict()
 
 
 def get_pipeline(
@@ -303,32 +318,41 @@ def clear_cache() -> None:
 
 def keep_resident(
     workload: str, seed: int, scale: float, artifacts: Iterable[str]
-) -> List[str]:
-    """Load (never compute) *artifacts* into the pipeline for the key;
-    returns the names it loaded.
+) -> Optional[List[str]]:
+    """Keep the key's pipeline with only *artifacts* (plus what it kept
+    before), loaded but never computed; returns the names newly kept.
 
-    The analysis daemon's parent calls this after a worker answered
-    from the disk cache: every later worker it forks inherits the
-    loaded artifacts copy-on-write instead of unpickling them again.
-    Only a key whose trace is on disk is kept, at most
-    :data:`RESIDENT_KEYS` of them; a key whose trace has left the cache
-    (``lockdoc cache clear``) is dropped, so workers rebuild it.
+    A reused analysis-daemon worker calls this after each reply: it
+    keeps what its next requests read instead of unpickling it again.
+    The bound: at most :data:`RESIDENT_KEYS` keys, least recently used
+    out first; only a key whose trace is on disk is kept, so a key
+    whose trace has left the cache (``lockdoc cache clear``) is
+    dropped and rebuilt.  None when the key's pipeline in this process
+    computed anything (:attr:`Pipeline.computed`): it holds more than
+    artifacts, and the worker must exit instead.
     """
     key = (workload, seed, scale)
+    pipeline = _CACHE.get(key)
+    if pipeline is not None and pipeline.computed:
+        return None
     cached = cache.is_enabled() and cache.is_cacheable(workload)
     path = cache.trace_path(workload, seed, scale) if cached else None
     if path is None or not path.exists():
-        if key in _RESIDENT:
-            del _RESIDENT[key]
-            _CACHE.pop(key, None)
+        _RESIDENT.pop(key, None)
+        _CACHE.pop(key, None)
         return []
-    pipeline = _CACHE.get(key)
     if pipeline is None:
         run = cache.CachedRun(workload, seed, scale, path)
         pipeline = _CACHE[key] = Pipeline(seed, scale, run, workload)
-    _RESIDENT[key] = None
-    _RESIDENT.move_to_end(key)
+    artifacts = list(artifacts)
+    pipeline.load_cached(artifacts)
+    held = _RESIDENT.pop(key, frozenset())
+    memo = pipeline._artifacts
+    kept = held.union(name for name in artifacts if name in memo)
+    for name in set(memo) - kept:
+        del memo[name]
+    _RESIDENT[key] = kept
     while len(_RESIDENT) > RESIDENT_KEYS:
         evicted, _ = _RESIDENT.popitem(last=False)
         _CACHE.pop(evicted, None)
-    return pipeline.load_cached(artifacts)
+    return [name for name in artifacts if name in kept and name not in held]

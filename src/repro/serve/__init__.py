@@ -13,8 +13,8 @@ by concern:
                 result, shared verbatim by local and remote execution
 ``envelope``    robustness primitives: deadlines, token buckets,
                 admission counters
-``pool``        per-request worker processes with kill-on-deadline and
-                crashed-worker classification
+``pool``        long-lived, reused worker processes with
+                kill-on-deadline and crashed-worker classification
 ``recovery``    startup sweep quarantining torn/corrupt cache entries
 ``server``      the asyncio front end: coalescing, budgets, shedding,
                 bounded re-execution, structured logging

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import importlib
 import os
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import cache
 from repro.core.selection import DEFAULT_ACCEPT_THRESHOLD
@@ -332,6 +332,7 @@ def execute(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
 
 # ---------------------------------------------------------------------
 # The daemon parent's warm state (inherited by every forked worker)
+# and what a reused worker keeps between requests
 # ---------------------------------------------------------------------
 
 #: Every module the runners import lazily: in their bodies, through the
@@ -355,16 +356,18 @@ _WARM_MODULES = (
 
 
 def warm() -> None:
-    """Import every module a runner needs and compute both cache
-    revisions, once, in the daemon parent: workers forked afterwards
-    inherit both instead of paying for them per request, and the
-    revision names the code they actually run."""
+    """Import every module a runner needs, build the documented-rule
+    corpus and compute both cache revisions, once, in the daemon
+    parent: workers forked afterwards inherit all of it instead of
+    paying for it per request, and the revision names the code they
+    actually run."""
     for name in _WARM_MODULES:
         importlib.import_module(name)
     for builders in RECIPES.values():
         for ref in builders:
             if ref is not None:
                 importlib.import_module(ref.split(":", 1)[0])
+    importlib.import_module("repro.doc.corpus").documented_rules()
     cache.kernel_revision()
     cache.analysis_revision()
 
@@ -392,17 +395,20 @@ _READS: Dict[str, Callable[[Dict[str, Any]], Tuple[str, ...]]] = {
 }
 
 
-def keep_resident(op: str, params: Dict[str, Any]) -> Tuple[str, ...]:
-    """In the daemon parent, after a worker answered *op* ``ok``: load
-    (never compute) the artifacts it read, so later workers inherit
-    them (:func:`repro.experiments.common.keep_resident`).  Returns the
-    names newly loaded."""
+def keep_warm(op: str, params: Dict[str, Any]) -> Optional[Tuple[str, ...]]:
+    """In a reused daemon worker, after *op* answered ``ok``: None when
+    the request did more than read cached artifacts (the worker then
+    exits); otherwise keep the key's pipeline with only the artifacts
+    ``_READS`` names, within the resident bound
+    (:func:`repro.experiments.common.keep_resident`), and return the
+    names newly resident."""
     reads = _READS.get(op)
     if reads is None or params["backend"] != "memory":
-        return ()
+        return None
     artifacts = reads(params)
     if not artifacts:
-        return ()
-    return tuple(experiments_common.keep_resident(
+        return None
+    kept = experiments_common.keep_resident(
         params["workload"], params["seed"], params["scale"], artifacts
-    ))
+    )
+    return None if kept is None else tuple(kept)

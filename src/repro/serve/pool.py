@@ -1,4 +1,5 @@
-"""Worker processes with kill-on-deadline and crash classification.
+"""Long-lived worker processes with kill-on-deadline and crash
+classification.
 
 Cold analysis work (a derive at an unseen scale) runs for tens of
 seconds; the daemon must be able to (a) **cancel** it when the
@@ -6,29 +7,40 @@ request's deadline expires, (b) **survive** it dying mid-computation,
 and (c) keep one request's crash from poisoning another's executor.
 The process pool of ``concurrent.futures`` offers none of these — a
 running task cannot be cancelled, and one dead worker breaks the whole
-pool — so the daemon spawns **one process per task**, bounded by the
-server's worker semaphore:
+pool — so the daemon keeps its own :class:`WorkerPool` of forked
+processes, each taking **one request at a time** over its own pipe:
 
-* fork start-method where available (Linux): spawn cost is
-  milliseconds and the child inherits the parent's warm imports;
-* the result travels over a dedicated pipe; pipe EOF without a result
-  plus a dead process classifies as ``WORKER_CRASH``;
+* every worker is forked (``os.fork``) from the warm daemon parent and
+  inherits its imports and cache revision; it then keeps its own heap,
+  so a reused worker pays no copy-on-write page faults again;
+* a worker stays alive only while it answers from cache artifacts
+  alone: after each such reply it trims its pipelines to the resident
+  bound (:func:`repro.serve.ops.keep_warm`).  After a request that
+  computed anything, or ended other than ``ok``, it exits, and the
+  pool forks a fresh worker in its place — a cold import never stays
+  resident;
+* pipe EOF without a result classifies as ``WORKER_CRASH``;
 * ``kill()`` (SIGKILL) implements deadline cancellation — the paper
   pipeline is pure (cache writes are atomic), so killing a worker at
-  any point is safe.
+  any point is safe;
+* a worker holds only stdio and its own two pipe ends (never a
+  sibling's pipe or the daemon's sockets), so it exits on EOF of its
+  request pipe when the parent dies.
 
-The child ships classified outcomes, not pickled exceptions: a
+The worker ships classified outcomes, not pickled exceptions: a
 ``ValueError`` from validation/IO becomes ``BAD_REQUEST``; anything
 else becomes ``INTERNAL`` with the exception type in the message.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import gc
 import os
+import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from multiprocessing import Pipe
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.daemon import ChaosPlan
 from repro.serve import ops
@@ -40,48 +52,22 @@ from repro.serve.protocol import (
     request_key,
 )
 
-
-def _mp_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix fallback
-        return multiprocessing.get_context("spawn")
-
-
-def _child_main(conn, op: str, params: Dict[str, Any],
-                chaos: Optional[ChaosPlan], attempt: int) -> None:
-    """Worker entry point: compute, classify, ship one message."""
-    try:
-        if chaos is not None:
-            chaos.inject(request_key(op, params), attempt)
-        result = ops.execute(op, params)
-        conn.send(("ok", result))
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
-        conn.send(("error", {"kind": E_BAD_REQUEST, "message": str(exc)}))
-    except OSError as exc:
-        conn.send(("error", {"kind": E_INTERNAL, "message": f"OSError: {exc}"}))
-    except BaseException as exc:  # noqa: BLE001 - classify, never leak
-        conn.send((
-            "error",
-            {"kind": E_INTERNAL, "message": f"{type(exc).__name__}: {exc}"},
-        ))
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
 @dataclass
 class TaskOutcome:
     """How one worker execution ended."""
 
-    status: str  # "ok" | "error" | "crash" | "deadline"
+    #: "ok" | "error" | "crash" | "deadline" | "shutdown" (no reply:
+    #: the wait was cancelled)
+    status: str
     result: Optional[Dict[str, Any]] = None
     error_kind: Optional[str] = None
     error_message: str = ""
     exitcode: Optional[int] = None
     elapsed: float = 0.0
+    #: An ``ok`` answered from cache artifacts alone: the worker stays.
+    stays: bool = False
+    #: The artifacts that reply made resident in the worker.
+    resident: Tuple[str, ...] = ()
 
     def as_error(self) -> Tuple[str, str]:
         """(kind, message) for the envelope, for non-ok outcomes."""
@@ -94,51 +80,143 @@ class TaskOutcome:
             return (E_DEADLINE, "request deadline expired; worker cancelled")
         return (self.error_kind or E_INTERNAL, self.error_message)
 
+    def retire_reason(self) -> Optional[str]:
+        """Why the worker that produced this outcome leaves (None: it
+        stays): ``computed``, ``error``, ``crash``, ``deadline`` or
+        ``shutdown``."""
+        if self.status == "ok":
+            return None if self.stays else "computed"
+        return self.status
 
-class WorkerTask:
-    """One in-flight worker process computing one request."""
 
-    def __init__(
+# ---------------------------------------------------------------------
+# The worker side (runs in the forked child, never returns)
+# ---------------------------------------------------------------------
+
+def _detach(keep: Tuple[int, ...]) -> None:
+    """Make a freshly forked child independent of its parent's state:
+    close every inherited fd but stdio and *keep* (sibling pipes, the
+    listening socket, client connections), leave signal handling to
+    the parent, and freeze the inherited heap out of the cyclic
+    collector (never collected, so no finalizer closes a reused fd
+    number, and no collection writes to the parent's pages)."""
+    gc.freeze()
+    low = 3
+    for fd in sorted(keep):
+        os.closerange(low, fd)
+        low = max(low, fd + 1)
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+    signal.set_wakeup_fd(-1)
+    # Ctrl-C reaches the whole process group; the parent shuts the
+    # pool down.  SIGTERM kills a worker outright.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _compute(op: str, params: Dict[str, Any], chaos: Optional[ChaosPlan],
+             attempt: int) -> Tuple[str, Dict[str, Any], Optional[Tuple[str, ...]]]:
+    """One request: ``(status, payload, resident)``; *resident* is None
+    when the worker must exit after replying."""
+    try:
+        if chaos is not None:
+            chaos.inject(request_key(op, params), attempt)
+        result = ops.execute(op, params)
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+        return "error", {"kind": E_BAD_REQUEST, "message": str(exc)}, None
+    except OSError as exc:
+        return "error", {"kind": E_INTERNAL, "message": f"OSError: {exc}"}, None
+    except BaseException as exc:  # noqa: BLE001 - classify, never leak
+        return (
+            "error",
+            {"kind": E_INTERNAL, "message": f"{type(exc).__name__}: {exc}"},
+            None,
+        )
+    try:
+        resident = ops.keep_warm(op, ops.validate(op, params))
+    except Exception:  # noqa: BLE001 - when in doubt, retire
+        resident = None
+    return "ok", result, resident
+
+
+def _serve(requests, replies) -> None:
+    """Worker loop: one request at a time until EOF or retirement."""
+    while True:
+        try:
+            op, params, chaos, attempt = requests.recv()
+        except (EOFError, OSError):
+            return
+        status, payload, resident = _compute(op, params, chaos, attempt)
+        try:
+            replies.send((status, payload, resident))
+        except OSError:
+            return
+        if resident is None:
+            return
+
+
+# ---------------------------------------------------------------------
+# The parent side
+# ---------------------------------------------------------------------
+
+class Worker:
+    """One long-lived worker process, forked from the caller."""
+
+    def __init__(self) -> None:
+        requests, self._requests = Pipe(duplex=False)
+        self._replies, replies = Pipe(duplex=False)
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child never returns
+            code = 1
+            try:
+                _detach((requests.fileno(), replies.fileno()))
+                _serve(requests, replies)
+                code = 0
+            finally:
+                os._exit(code)
+        requests.close()
+        replies.close()
+        self.pid = pid
+        #: Requests this worker has answered.
+        self.served = 0
+        self.started_at = 0.0
+        self.exitcode: Optional[int] = None
+
+    def fileno(self) -> int:
+        """The readable reply-pipe fd (for event-loop registration)."""
+        return self._replies.fileno()
+
+    def submit(
         self,
         op: str,
         params: Dict[str, Any],
         chaos: Optional[ChaosPlan] = None,
         attempt: int = 0,
     ) -> None:
-        ctx = _mp_context()
-        self._parent_conn, child_conn = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(
-            target=_child_main,
-            args=(child_conn, op, params, chaos, attempt),
-            daemon=True,
-        )
+        """Hand the worker one request; raises ``OSError`` when the
+        worker is gone."""
         self.started_at = time.monotonic()
-        self.process.start()
-        # The child owns its end now; closing ours makes EOF detection
-        # work (otherwise the parent's copy keeps the pipe open).
-        child_conn.close()
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.process.pid
-
-    def fileno(self) -> int:
-        """The readable pipe fd (for event-loop registration)."""
-        return self._parent_conn.fileno()
+        self._requests.send((op, params, chaos, attempt))
 
     def collect(self) -> TaskOutcome:
-        """Read the outcome after the pipe became readable (or EOF)."""
+        """Read the outcome after the reply pipe became readable (or
+        EOF)."""
         elapsed = time.monotonic() - self.started_at
         try:
-            status, payload = self._parent_conn.recv()
+            status, payload, resident = self._replies.recv()
         except (EOFError, OSError):
-            self._reap()
+            self.close(timeout=5.0)
             return TaskOutcome(
-                status="crash", exitcode=self.process.exitcode, elapsed=elapsed
+                status="crash", exitcode=self.exitcode, elapsed=elapsed
             )
-        self._reap()
+        self.served += 1
         if status == "ok":
-            return TaskOutcome(status="ok", result=payload, elapsed=elapsed)
+            return TaskOutcome(
+                status="ok",
+                result=payload,
+                elapsed=elapsed,
+                stays=resident is not None,
+                resident=tuple(resident or ()),
+            )
         return TaskOutcome(
             status="error",
             error_kind=payload.get("kind", E_INTERNAL),
@@ -153,30 +231,47 @@ class WorkerTask:
         return TaskOutcome(status="deadline", elapsed=elapsed)
 
     def kill(self) -> None:
-        try:
-            self.process.kill()
-        except (OSError, AttributeError):  # pragma: no cover - defensive
-            pass
-        self._reap()
+        if self.exitcode is None:
+            os.kill(self.pid, signal.SIGKILL)
+        self.close()
 
-    def _reap(self) -> None:
-        try:
-            self.process.join(timeout=5.0)
-        except (OSError, AssertionError):  # pragma: no cover - defensive
-            pass
-        try:
-            self._parent_conn.close()
-        except OSError:
-            pass
+    def close(self, timeout: float = 0) -> bool:
+        """Close both pipe ends (an idle worker exits on the EOF) and
+        reap the process: only if it has exited (*timeout* 0), or
+        within *timeout* seconds, past which it is SIGKILLed.  True
+        once reaped."""
+        self._requests.close()
+        self._replies.close()
+        give_up = time.monotonic() + timeout
+        while self.exitcode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.exitcode = os.waitstatus_to_exitcode(status)
+            elif not timeout:
+                return False
+            else:
+                if time.monotonic() >= give_up:
+                    os.kill(self.pid, signal.SIGKILL)
+                time.sleep(0.005)
+        return True
 
     # ------------------------------------------------------------------
     # Synchronous driver (tests, benchmarks, local sampling)
     # ------------------------------------------------------------------
 
-    def wait(self, timeout: Optional[float]) -> TaskOutcome:
-        """Block until the worker finishes or *timeout* expires."""
+    def run(
+        self,
+        op: str,
+        params: Dict[str, Any],
+        timeout: Optional[float] = None,
+        chaos: Optional[ChaosPlan] = None,
+        attempt: int = 0,
+    ) -> TaskOutcome:
+        """Submit one request and block until it finishes or *timeout*
+        expires."""
         try:
-            ready = self._parent_conn.poll(timeout)
+            self.submit(op, params, chaos=chaos, attempt=attempt)
+            ready = self._replies.poll(timeout)
         except (EOFError, OSError):
             ready = True
         if not ready:
@@ -191,18 +286,116 @@ def run_task_sync(
     chaos: Optional[ChaosPlan] = None,
     attempt: int = 0,
 ) -> TaskOutcome:
-    """Spawn one worker and wait for it (the non-asyncio entry point).
+    """Fork one worker, run one request on it, and reap it (the one-shot,
+    non-asyncio entry point).
 
-    This is also how the serve benchmark measures *local* latency: the
-    same fork + compute + pipe round-trip the daemon performs, minus
-    the socket and envelope — isolating exactly the daemon's overhead.
+    The serve benchmark uses this as its *local* baseline: the fork +
+    compute + pipe round trip of a fresh worker, minus the socket and
+    envelope.
     """
-    return WorkerTask(op, params, chaos=chaos, attempt=attempt).wait(timeout)
+    worker = Worker()
+    try:
+        return worker.run(op, params, timeout, chaos=chaos, attempt=attempt)
+    finally:
+        worker.close(timeout=5.0)
+
+
+class WorkerPool:
+    """``size`` long-lived workers, handed out most recently used first.
+
+    The caller takes a worker with :meth:`start`, waits for its reply
+    pipe, and hands it back with :meth:`release`, which keeps it or
+    retires it.  Retirements go to *on_retire* ``(worker, reason)``;
+    :meth:`fill` forks replacements.
+    """
+
+    def __init__(
+        self, size: int, on_retire: Callable[[Worker, str], None]
+    ) -> None:
+        self.size = size
+        self._on_retire = on_retire
+        #: Idle workers, least recently used first.
+        self._idle: List[Worker] = []
+        self._busy: List[Worker] = []
+        #: Retired workers not yet reaped.
+        self._exiting: List[Worker] = []
+        self._closed = False
+        self.spawned = 0
+        #: Requests handed to a worker that had answered one before.
+        self.reused = 0
+
+    def fill(self) -> None:
+        """Fork workers until the pool is at its size again; fresh ones
+        queue behind the warm ones."""
+        self._reap()
+        while not self._closed and len(self._idle) + len(self._busy) < self.size:
+            self._idle.insert(0, Worker())
+            self.spawned += 1
+
+    def start(
+        self,
+        op: str,
+        params: Dict[str, Any],
+        chaos: Optional[ChaosPlan] = None,
+        attempt: int = 0,
+    ) -> Worker:
+        """Submit one request to the most recently used idle worker (a
+        fresh one when none is idle)."""
+        self._reap()
+        while True:
+            if self._idle:
+                worker = self._idle.pop()
+            else:
+                worker = Worker()
+                self.spawned += 1
+            try:
+                worker.submit(op, params, chaos=chaos, attempt=attempt)
+            except OSError:  # died while idle
+                self._retire(worker, "crash")
+                continue
+            if worker.served:
+                self.reused += 1
+            self._busy.append(worker)
+            return worker
+
+    def release(self, worker: Worker, outcome: TaskOutcome) -> Optional[str]:
+        """Take *worker* back after *outcome*; returns the reason it was
+        retired, or None when it stays."""
+        if worker not in self._busy:  # retired by close()
+            return "shutdown"
+        self._busy.remove(worker)
+        reason = outcome.retire_reason()
+        if reason is None and not self._closed:
+            self._idle.append(worker)
+            return None
+        # An outcome without a reply (the wait was cancelled) leaves
+        # the worker mid-request: kill it.
+        self._retire(worker, reason or "shutdown", kill=reason == "shutdown")
+        return reason or "shutdown"
+
+    def _retire(self, worker: Worker, reason: str, kill: bool = False) -> None:
+        if kill:
+            worker.kill()
+        if not worker.close():
+            self._exiting.append(worker)
+        self._on_retire(worker, reason)
+
+    def _reap(self) -> None:
+        self._exiting = [w for w in self._exiting if not w.close()]
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Retire every worker (busy ones are killed) and reap them all."""
+        self._closed = True
+        for worker in self._busy:
+            self._retire(worker, "shutdown", kill=True)
+        for worker in self._idle:
+            self._retire(worker, "shutdown")
+        self._busy, self._idle = [], []
+        for worker in self._exiting:
+            worker.close(timeout=timeout)
+        self._exiting = []
 
 
 def worker_env_note() -> Dict[str, Any]:
     """Startup-log diagnostics about the worker mechanism."""
-    return {
-        "start_method": _mp_context().get_start_method(),
-        "parent_pid": os.getpid(),
-    }
+    return {"start_method": "fork", "parent_pid": os.getpid()}

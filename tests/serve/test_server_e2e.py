@@ -354,3 +354,171 @@ class TestLifecycle:
             assert "already serving" in second.stderr
         finally:
             daemon.close()
+
+
+def _children(pid):
+    """The pids whose parent is *pid* (from ``/proc/<pid>/stat``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fp:
+                fields = fp.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _running(pid):
+    """True while *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fp:
+            return fp.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestWorkerLifecycle:
+    """Workers are reused while warm and replaced when they go."""
+
+    def test_deadline_and_crash_are_replaced(self, trace_file):
+        from repro.faults.daemon import ChaosPlan
+        from repro.serve import ops
+        from repro.serve.protocol import request_key
+
+        spec, seed = "crash:0.5,stall-sometimes:30", 3
+        plan = ChaosPlan.from_spec(spec, seed=seed)
+
+        def params(i):
+            return {"trace": trace_file, "registry": "racer", "diagnostics": i}
+
+        def fate(i):
+            key = request_key("health", ops.validate("health", params(i)))
+            return [plan.decisions(key, attempt) for attempt in (0, 1)]
+
+        fates = {i: fate(i) for i in range(200)}
+        stall = next(i for i, f in fates.items() if f[0] == [("stall", 30.0)])
+        crash = next(
+            i for i, f in fates.items()
+            if f[0][:1] == [("crash", 0.5)] and f[1][:1] == [("crash", 0.5)]
+        )
+        fine = [i for i, f in fates.items() if f[0] == []][:2]
+        # One worker: each ok below needs the pool to have replaced it.
+        daemon = Daemon(extra_args=[
+            "--workers", "1", "--chaos", spec, "--chaos-seed", str(seed),
+        ])
+        try:
+            client = daemon.client()
+            with pytest.raises(RemoteError) as info:
+                client.request("health", params(stall), deadline=1.0)
+            assert info.value.kind == E_DEADLINE
+            assert client.request("health", params(fine[0])).status == "ok"
+            with pytest.raises(RemoteError) as info:
+                client.request("health", params(crash))
+            assert info.value.kind == E_WORKER_CRASH
+            assert client.request("health", params(fine[1])).status == "ok"
+            status = client.status()
+            retired = [
+                e["reason"] for e in daemon.events()
+                if e["event"] == "worker_retired"
+            ]
+        finally:
+            daemon.close()
+        assert retired == ["deadline", "computed", "crash", "crash", "computed"]
+        # The first worker plus one replacement per retirement.
+        assert status["counters"]["workers_spawned"] == 1 + len(retired)
+
+    def test_mixed_sequence_equals_in_process(self, trace_file, tmp_path):
+        import random
+
+        from repro.experiments import common
+        from repro.fuzz.corpus import Corpus
+        from repro.fuzz.feedback import CoverageMap, execute_program
+        from repro.fuzz.mutate import random_program
+        from repro.serve import ops
+        from repro.workloads import registry
+
+        corpus_path = tmp_path / "corpus.json"
+
+        def write_corpus(seed):
+            program = random_program(random.Random(seed))
+            corpus = Corpus(baseline=CoverageMap(), seed=seed)
+            corpus.admit(program, execute_program(program).coverage, generation=0)
+            corpus.save(str(corpus_path))
+
+        mix = {"workload": "mix", "seed": 0, "scale": 0.6}
+        fuzz = {"workload": f"fuzz:{corpus_path}", "seed": 0, "scale": 1}
+        sequence = [
+            ("derive", mix),  # cold
+            ("derive", mix),
+            ("check", {**mix, "backend": "sqlite"}),
+            ("stats", mix),
+            ("stats", mix),
+            ("races", {"workload": "racer", "seed": 0, "scale": 0.5}),
+            ("health", {"trace": trace_file, "registry": "racer"}),
+            ("violations", mix),
+            ("stats", fuzz),
+            "rewrite",
+            ("stats", fuzz),
+            ("check", mix),
+        ]
+        write_corpus(0)
+        daemon = Daemon()
+        try:
+            client = daemon.client()
+            fuzz_texts = []
+            for step in sequence:
+                if step == "rewrite":
+                    write_corpus(1)
+                    continue
+                op, params = step
+                reply = client.request(op, params, deadline=300).result
+                common.clear_cache()
+                registry._FUZZ_PATH_CACHE.clear()
+                assert reply == ops.execute(op, dict(params)), (op, params)
+                if params is fuzz:
+                    fuzz_texts.append(reply["text"])
+            status = client.status()
+            events = daemon.events()
+        finally:
+            daemon.close()
+        assert fuzz_texts[0] != fuzz_texts[1]  # the rewrite was seen
+        retired = [e["reason"] for e in events if e["event"] == "worker_retired"]
+        assert set(retired) == {"computed"}
+        counters = status["counters"]
+        assert counters["reused_worker_requests"] >= 3
+        assert counters["workers_spawned"] == 2 + len(retired)
+
+    def test_parent_sigkill_leaves_no_worker(self):
+        import signal
+
+        daemon = Daemon()
+        try:
+            params = {"workload": "mix", "seed": 0, "scale": 0.5}
+            client = daemon.client()
+            for _ in range(3):
+                client.request("stats", params, deadline=300)
+            # (The worker that computed the cold fill may linger as a
+            # zombie until the pool next reaps.)
+            workers = [p for p in _children(daemon.process.pid) if _running(p)]
+            assert len(workers) == 2
+            for pid in workers:
+                fds = {
+                    int(fd): os.readlink(f"/proc/{pid}/fd/{fd}")
+                    for fd in os.listdir(f"/proc/{pid}/fd")
+                }
+                # Its own two pipe ends; no sibling's, no socket.
+                extra = sorted(target for fd, target in fds.items() if fd > 2)
+                assert len(extra) == 2, fds
+                assert all(target.startswith("pipe:") for target in extra), fds
+            daemon.process.send_signal(signal.SIGKILL)
+            daemon.process.wait(timeout=10)
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            daemon.close()
