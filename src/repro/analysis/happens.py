@@ -36,7 +36,6 @@ Since every edge points forward in trace time, ordering two accesses
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.vectorclock import VectorClock
@@ -46,7 +45,6 @@ from repro.tracing.events import AccessEvent, Event, LockEvent
 _NO_KNOWLEDGE: Mapping[int, int] = {}
 
 
-@dataclass(frozen=True)
 class AccessStamp:
     """The happens-before coordinates of one access event.
 
@@ -54,12 +52,41 @@ class AccessStamp:
     ``knows`` maps *other* context ids to the highest event index of
     theirs this context had transitively learned about when the access
     happened.
+
+    A slotted value class rather than a frozen dataclass: the stream
+    engine builds one per kept access, and a frozen dataclass's
+    ``__init__`` (``object.__setattr__`` per field) costs three times
+    as much.  Stamps are never mutated after construction.
     """
 
-    ts: int
-    ctx_id: int
-    index: int
-    knows: Mapping[int, int]
+    __slots__ = ("ts", "ctx_id", "index", "knows")
+
+    def __init__(
+        self, ts: int, ctx_id: int, index: int, knows: Mapping[int, int]
+    ) -> None:
+        self.ts = ts
+        self.ctx_id = ctx_id
+        self.index = index
+        self.knows = knows
+
+    def _fields(self) -> Tuple[int, int, int, Mapping[int, int]]:
+        return (self.ts, self.ctx_id, self.index, self.knows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # ``knows`` is a dict
+
+    def __repr__(self) -> str:
+        return (
+            f"AccessStamp(ts={self.ts!r}, ctx_id={self.ctx_id!r}, "
+            f"index={self.index!r}, knows={self.knows!r})"
+        )
+
+    def __reduce__(self):
+        return (AccessStamp, self._fields())
 
     def knows_of(self, ctx_id: int) -> int:
         """Highest known event index of *ctx_id* (own context: own index)."""
@@ -119,7 +146,8 @@ class HappensBeforeIndex:
             ctx = event.ctx_id
             own = index.get(ctx, 0) + 1
             index[ctx] = own
-            if isinstance(event, LockEvent):
+            kind = event.__class__
+            if kind is LockEvent:
                 if event.is_acquire:
                     snapshot = releases.get(event.lock_id)
                     if snapshot is not None:
@@ -128,15 +156,18 @@ class HappensBeforeIndex:
                     releases[event.lock_id] = (
                         ctx, own, knowledge.get(ctx, _NO_KNOWLEDGE)
                     )
-            elif isinstance(event, AccessEvent):
-                if wanted is None or event.ts in wanted:
-                    stamps[event.ts] = AccessStamp(
-                        ts=event.ts,
-                        ctx_id=ctx,
-                        index=own,
-                        knows=knowledge.get(ctx, _NO_KNOWLEDGE),
+            elif kind is AccessEvent:
+                ts = event.ts
+                if wanted is None or ts in wanted:
+                    stamps[ts] = AccessStamp(
+                        ts, ctx, own, knowledge.get(ctx, _NO_KNOWLEDGE)
                     )
         return cls(stamps)
+
+    @property
+    def stamps(self) -> Mapping[int, AccessStamp]:
+        """Every recorded stamp by access timestamp (read-only)."""
+        return self._stamps
 
     def stamp(self, ts: int) -> AccessStamp:
         return self._stamps[ts]

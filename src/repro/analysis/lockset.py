@@ -30,7 +30,7 @@ different instances of ``inode.i_lock`` protect nothing between them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.db.database import TraceDatabase
@@ -51,42 +51,103 @@ class MemberState(enum.Enum):
     SHARED_MODIFIED = "shared-modified"
 
 
-@dataclass
 class MemberTrack:
-    """Lockset bookkeeping for one (allocation, member) pair."""
+    """Lockset bookkeeping for one (allocation, member) pair.
 
-    alloc_id: int
-    member: str
-    type_key: str
-    state: MemberState = MemberState.VIRGIN
-    lockset: FrozenSet[int] = _EMPTY
-    first_ctx: Optional[int] = None
-    ctx_ids: Set[int] = field(default_factory=set)
-    write_ctx_ids: Set[int] = field(default_factory=set)
-    accesses: List[AccessRow] = field(default_factory=list)
+    A slotted class (one per tracked pair, and :meth:`apply` runs once
+    per kept access) with the keyword constructor, equality and
+    pickling of the dataclass it replaces.  ``_intersected`` is the
+    held set :meth:`apply` last refined ``lockset`` with; it is a cache,
+    not state, so equality and pickling leave it out.
+    """
+
+    __slots__ = (
+        "alloc_id", "member", "type_key", "state", "lockset", "first_ctx",
+        "ctx_ids", "write_ctx_ids", "accesses", "_intersected",
+    )
+
+    #: The slots that make up a track's value.
+    _FIELDS = __slots__[:-1]
+
+    def __init__(
+        self,
+        alloc_id: int,
+        member: str,
+        type_key: str,
+        state: MemberState = MemberState.VIRGIN,
+        lockset: FrozenSet[int] = _EMPTY,
+        first_ctx: Optional[int] = None,
+        ctx_ids: Optional[Set[int]] = None,
+        write_ctx_ids: Optional[Set[int]] = None,
+        accesses: Optional[List[AccessRow]] = None,
+    ) -> None:
+        self.alloc_id = alloc_id
+        self.member = member
+        self.type_key = type_key
+        self.state = state
+        self.lockset = lockset
+        self.first_ctx = first_ctx
+        self.ctx_ids = set() if ctx_ids is None else ctx_ids
+        self.write_ctx_ids = set() if write_ctx_ids is None else write_ctx_ids
+        self.accesses = [] if accesses is None else accesses
+        self._intersected: Optional[FrozenSet[int]] = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._FIELDS
+        )
+        return f"MemberTrack({fields})"
+
+    def __getstate__(self) -> tuple:
+        return self._values()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self._FIELDS, state):
+            setattr(self, name, value)
+        self._intersected = None
 
     @property
     def is_candidate(self) -> bool:
-        return self.state == MemberState.SHARED_MODIFIED and not self.lockset
+        return self.state is MemberState.SHARED_MODIFIED and not self.lockset
 
     def apply(self, access: AccessRow, held: _HeldSets) -> None:
-        """Advance the state machine and refine the lockset."""
-        all_held, write_held = held
-        protecting = write_held if access.access_type == "w" else all_held
-        if self.state == MemberState.VIRGIN:
+        """Advance the state machine and refine the lockset.
+
+        ``lockset`` is already a subset of the held set it was last
+        refined with, so when *held* hands over that same frozenset
+        object again (one pair per distinct held set, see
+        :func:`held_sets_by_txn`) the intersection is skipped.
+        """
+        is_write = access.access_type == "w"
+        protecting = held[1] if is_write else held[0]
+        ctx_id = access.ctx_id
+        state = self.state
+        if state is MemberState.VIRGIN:
             self.state = MemberState.EXCLUSIVE
-            self.first_ctx = access.ctx_id
+            self.first_ctx = ctx_id
             self.lockset = protecting
         else:
-            self.lockset &= protecting
-            if access.ctx_id != self.first_ctx or self.state != MemberState.EXCLUSIVE:
-                if access.access_type == "w":
+            if protecting is not self._intersected:
+                self.lockset &= protecting
+            if ctx_id != self.first_ctx or state is not MemberState.EXCLUSIVE:
+                if is_write:
                     self.state = MemberState.SHARED_MODIFIED
-                elif self.state == MemberState.EXCLUSIVE:
+                elif state is MemberState.EXCLUSIVE:
                     self.state = MemberState.SHARED
-        self.ctx_ids.add(access.ctx_id)
-        if access.access_type == "w":
-            self.write_ctx_ids.add(access.ctx_id)
+        self._intersected = protecting
+        self.ctx_ids.add(ctx_id)
+        if is_write:
+            self.write_ctx_ids.add(ctx_id)
         self.accesses.append(access)
 
 
@@ -105,12 +166,25 @@ class LocksetResult:
 
 
 def held_sets_by_txn(db: TraceDatabase) -> Dict[Optional[int], _HeldSets]:
-    """Per-transaction held-lock-instance sets (all-mode, write-mode)."""
+    """Per-transaction held-lock-instance sets (all-mode, write-mode).
+
+    Transactions under one held set share one pair of frozensets, so
+    :meth:`MemberTrack.apply` can skip re-intersecting with it.  The
+    importer and the database loaders give all of them the same
+    ``held`` tuple, so the pair is keyed by that tuple's identity
+    (``db.txns`` keeps every tuple alive, so the ids stay unique).
+    """
     held: Dict[Optional[int], _HeldSets] = {None: (_EMPTY, _EMPTY)}
+    shared: Dict[int, _HeldSets] = {}
     for txn in db.txns.values():
-        all_ids = frozenset(h.lock_id for h in txn.held)
-        write_ids = frozenset(h.lock_id for h in txn.held if h.mode == "w")
-        held[txn.txn_id] = (all_ids, write_ids)
+        locks = txn.held
+        sets = shared.get(id(locks))
+        if sets is None:
+            sets = shared[id(locks)] = (
+                frozenset(h.lock_id for h in locks),
+                frozenset(h.lock_id for h in locks if h.mode == "w"),
+            )
+        held[txn.txn_id] = sets
     return held
 
 
@@ -121,10 +195,10 @@ def run_lockset(db: TraceDatabase) -> LocksetResult:
     state transitions replay the execution faithfully.
     """
     held = held_sets_by_txn(db)
-    none_held = (_EMPTY, _EMPTY)
+    none_held = held[None]
     tracks: Dict[Tuple[int, str], MemberTrack] = {}
     for access in db.accesses:
-        if not access.kept:
+        if access.filter_reason is not None:  # not kept
             continue
         key = (access.alloc_id, access.member)
         track = tracks.get(key)

@@ -50,9 +50,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.happens import AccessStamp, HappensBeforeIndex, happens_before
+from repro.analysis.happens import HappensBeforeIndex
 from repro.analysis.lockset import LocksetResult, MemberTrack, run_lockset
 from repro.core.derivator import DerivationResult
+from repro.core.lockrefs import LockSeq
 from repro.core.report import render_counts, render_table
 from repro.core.rules import LockingRule, complies
 from repro.db.database import TraceDatabase
@@ -264,18 +265,21 @@ class RaceCandidates:
         """Join the candidates with the derived rules of *derivation*."""
         grouped: Dict[Tuple[RaceClass, str, str], RaceFinding] = {}
         for track, (positions, pairs) in zip(self.candidates, self.verdicts):
-            violations = _violating_accesses(track, derivation)
+            rules = _track_rules(track, derivation)
+            violation = _first_violation(track.accesses, rules)
             if positions is not None:
                 race_class = (
                     RaceClass.RULE_CONFIRMED_RACE
-                    if violations
+                    if violation is not None
                     else RaceClass.LOCKSET_RACE
                 )
                 first, second = positions
                 pair = (track.accesses[first], track.accesses[second])
             else:
                 race_class = (
-                    RaceClass.ORDERED_VIOLATION if violations else RaceClass.BENIGN
+                    RaceClass.ORDERED_VIOLATION
+                    if violation is not None
+                    else RaceClass.BENIGN
                 )
                 pair = None
             key = (race_class, track.type_key, track.member)
@@ -287,7 +291,7 @@ class RaceCandidates:
                     member=track.member,
                 )
                 grouped[key] = finding
-            _account(finding, track, derivation, pair, pairs, violations)
+            _account(finding, track, rules, pair, pairs, violation)
 
         findings = sorted(
             grouped.values(),
@@ -362,60 +366,104 @@ def _first_unordered_pair(track: MemberTrack, hb: HappensBeforeIndex) -> Verdict
     it happens-before the current access, every earlier one does too.
     Returns the first pair found (as row positions) plus the number of
     detections.
+
+    The test is :func:`~repro.analysis.happens.happens_before` read
+    inline: an earlier access of context ``c`` at index ``i`` is ordered
+    before the current one iff the current stamp knows ``c`` up to
+    ``i``, so each context keeps only ``(index, position)``.
     """
-    last_any: Dict[int, Tuple[AccessStamp, int]] = {}
-    last_write: Dict[int, Tuple[AccessStamp, int]] = {}
+    stamps = hb.stamps
+    last_any: Dict[int, Tuple[int, int]] = {}
+    last_write: Dict[int, Tuple[int, int]] = {}
     first: Optional[Tuple[int, int]] = None
     pairs = 0
     for position, row in enumerate(track.accesses):
-        stamp = hb.stamp(row.ts)
-        conflicting = last_any if row.access_type == "w" else last_write
-        for ctx, (other_stamp, other_position) in conflicting.items():
-            if ctx == row.ctx_id:
-                continue
-            if not happens_before(other_stamp, stamp):
+        stamp = stamps[row.ts]
+        ctx_id = row.ctx_id
+        knows = stamp.knows
+        is_write = row.access_type == "w"
+        for ctx, (index, other_position) in (
+            last_any if is_write else last_write
+        ).items():
+            if ctx != ctx_id and knows.get(ctx, 0) < index:
                 pairs += 1
                 if first is None:
                     first = (other_position, position)
-        last_any[row.ctx_id] = (stamp, position)
-        if row.access_type == "w":
-            last_write[row.ctx_id] = (stamp, position)
+        latest = (stamp.index, position)
+        last_any[ctx_id] = latest
+        if is_write:
+            last_write[ctx_id] = latest
     return first, pairs
 
 
-def _violating_accesses(
+def _track_rules(
     track: MemberTrack, derivation: DerivationResult
-) -> List[AccessRow]:
-    """Accesses in the group that violate their derived winning rule."""
-    out = []
-    for row in track.accesses:
-        derived = derivation.get(row.type_key, row.member, row.access_type)
-        if derived is None or derived.rule.is_no_lock:
+) -> Dict[str, LockingRule]:
+    """The derived winning rule of each access type of the track's
+    target that needs a lock; every row of a track has the track's
+    ``type_key`` and ``member``, so this is at most two lookups."""
+    rules: Dict[str, LockingRule] = {}
+    for access_type in ("r", "w"):
+        derived = derivation.get(track.type_key, track.member, access_type)
+        if derived is not None and not derived.rule.is_no_lock:
+            rules[access_type] = derived.rule
+    return rules
+
+
+def _first_violation(
+    rows: List[AccessRow], rules: Dict[str, LockingRule]
+) -> Optional[AccessRow]:
+    """The first row that violates its access type's rule in *rules*.
+
+    Whether a lock sequence complies is decided once per access type
+    and distinct sequence: looked up by the sequence object's identity
+    (the replay interns sequences, and *rows* keeps every one alive),
+    then by value, so equal sequences held in distinct tuples (as
+    unpickled or repaired rows may hold them) share one decision too.
+    """
+    if not rules:
+        return None
+    by_identity: Dict[str, Dict[int, bool]] = {t: {} for t in rules}
+    by_value: Dict[str, Dict[LockSeq, bool]] = {t: {} for t in rules}
+    for row in rows:
+        access_type = row.access_type
+        decided = by_identity.get(access_type)
+        if decided is None:
             continue
-        if not complies(row.lockseq, derived.rule):
-            out.append(row)
-    return out
+        seq = row.lockseq
+        ok = decided.get(id(seq))
+        if ok is None:
+            values = by_value[access_type]
+            ok = values.get(seq)
+            if ok is None:
+                ok = values[seq] = complies(seq, rules[access_type])
+            decided[id(seq)] = ok
+        if not ok:
+            return row
+    return None
 
 
 def _account(
     finding: RaceFinding,
     track: MemberTrack,
-    derivation: DerivationResult,
+    rules: Dict[str, LockingRule],
     pair: Optional[Tuple[AccessRow, AccessRow]],
     pairs: int,
-    violations: List[AccessRow],
+    violation: Optional[AccessRow],
 ) -> None:
+    rows = track.accesses
     finding.allocs += 1
-    finding.events += len(track.accesses)
+    finding.events += len(rows)
     finding.pairs += pairs
     finding.contexts.update(track.ctx_ids)
-    for row in track.accesses:
-        finding.stacks.add(row.stack_id)
-        finding.locations.add((row.file, row.line))
-        derived = derivation.get(row.type_key, row.member, row.access_type)
-        if derived is not None and not derived.rule.is_no_lock:
-            finding.rules.setdefault(row.access_type, derived.rule)
+    finding.stacks.update([row.stack_id for row in rows])
+    finding.locations.update([(row.file, row.line) for row in rows])
+    if rules:
+        present = {row.access_type for row in rows}
+        for access_type, rule in rules.items():
+            if access_type in present:
+                finding.rules.setdefault(access_type, rule)
     if finding.sample_pair is None:
         finding.sample_pair = pair
-    if finding.sample_violation is None and violations:
-        finding.sample_violation = violations[0]
+    if finding.sample_violation is None:
+        finding.sample_violation = violation

@@ -168,6 +168,8 @@ class Importer(Replay):
         #: visits the current holders, not every context ever seen.
         self._holders: Dict[int, Dict[int, int]] = {}
         self._stack_table: Sequence[StackFrames] = [()]
+        #: ((lock_id, mode), ...) -> the one HeldLock tuple of that set.
+        self._held_sets: Dict[Tuple[Tuple[int, str], ...], Tuple[HeldLock, ...]] = {}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -317,7 +319,19 @@ class Importer(Replay):
 
     def _open_txn(self, ctx: _ImportCtx, ts: int, no_locks: bool) -> None:
         super()._open_txn(ctx, ts, no_locks)
-        ctx.opened_held = tuple(HeldLock(lock_id, mode) for lock_id, mode, _ in ctx.held)
+        held = ctx.held
+        if not held:
+            ctx.opened_held = ()
+            return
+        # One shared tuple per distinct held set, as the unpickled
+        # database has it (TraceDatabase.__setstate__).
+        key = tuple([(lock_id, mode) for lock_id, mode, _ in held])
+        opened = self._held_sets.get(key)
+        if opened is None:
+            opened = self._held_sets[key] = tuple(
+                HeldLock(lock_id, mode) for lock_id, mode in key
+            )
+        ctx.opened_held = opened
 
     def _txn_closed(self, ctx: _ImportCtx, end_ts: int) -> None:
         if ctx.used:

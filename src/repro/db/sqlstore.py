@@ -140,15 +140,25 @@ class SpoolDatabase(TraceDatabase):
         self._batch_rows = batch_rows
         self._pending: List[tuple] = []
         self._seq_ids: Dict[LockSeq, int] = {}
+        #: id() of each sequence object in ``_seqs`` -> its id; the
+        #: list keeps those objects alive, so the ids stay theirs.
+        self._seq_ids_by_identity: Dict[int, int] = {}
         self._seqs: List[LockSeq] = []
         self.spooled = 0
 
     def seq_id(self, lockseq: LockSeq) -> int:
+        """The id of *lockseq*: by identity first (the replay interns
+        sequences, so nearly every row passes the stored object), then
+        by value, which hashes every reference of the sequence."""
+        seq_id = self._seq_ids_by_identity.get(id(lockseq))
+        if seq_id is not None:
+            return seq_id
         seq_id = self._seq_ids.get(lockseq)
         if seq_id is None:
             seq_id = len(self._seqs)
             self._seq_ids[lockseq] = seq_id
             self._seqs.append(lockseq)
+            self._seq_ids_by_identity[id(lockseq)] = seq_id
         return seq_id
 
     def add_access(self, row: AccessRow) -> None:
@@ -552,18 +562,29 @@ class SqliteTraceStore:
                 owner_alloc_id=owner_alloc_id,
                 owner_data_type=owner_data_type, owner_member=owner_member,
             ))
-        held: Dict[int, List[HeldLock]] = {}
+        pairs: Dict[int, List[Tuple[int, str]]] = {}
         for txn_id, lock_id, mode in conn.execute(
                 "SELECT txn_id, lock_id, mode FROM txn_locks "
                 "ORDER BY txn_id, position"):
-            held.setdefault(txn_id, []).append(HeldLock(lock_id, mode))
+            pairs.setdefault(txn_id, []).append((lock_id, mode))
+        # Held sets repeat across transactions; share one tuple each,
+        # as the in-memory importer does.
+        held_sets: Dict[Tuple[Tuple[int, str], ...], Tuple[HeldLock, ...]] = {
+            (): ()
+        }
         for (txn_id, ctx_id, start_ts, end_ts, no_locks,
              synthetic_close) in conn.execute(
                 "SELECT txn_id, ctx_id, start_ts, end_ts, no_locks, "
                 "synthetic_close FROM txns ORDER BY seq"):
+            key = tuple(pairs.get(txn_id, ()))
+            held = held_sets.get(key)
+            if held is None:
+                held = held_sets[key] = tuple(
+                    HeldLock(lock_id, mode) for lock_id, mode in key
+                )
             db.add_txn(TxnRow(
                 txn_id=txn_id, ctx_id=ctx_id, start_ts=start_ts,
-                end_ts=end_ts, held=tuple(held.get(txn_id, ())),
+                end_ts=end_ts, held=held,
                 no_locks=bool(no_locks),
                 synthetic_close=bool(synthetic_close),
             ))
@@ -578,18 +599,17 @@ class SqliteTraceStore:
             stacks[stack_id] = tuple(frame_list)
         db.set_stack_table(stacks)
         seqs = self.lockseq_table()
+        add_access = db.add_access
+        # Positional: the selected columns are AccessRow's fields in order.
         for (access_id, ts, ctx_id, txn_id, alloc_id, data_type, subclass,
              member, access_type, address, size, stack_id, file, line,
              lockseq_id, filter_reason) in conn.execute(
                 f"SELECT {_ACCESS_COLUMNS}, filter_reason FROM accesses "
                 "ORDER BY access_id"):
-            db.add_access(AccessRow(
-                access_id=access_id, ts=ts, ctx_id=ctx_id, txn_id=txn_id,
-                alloc_id=alloc_id, data_type=data_type, subclass=subclass,
-                member=member, access_type=access_type,
-                address=_u64(address), size=size, stack_id=stack_id,
-                file=file, line=line, lockseq=seqs[lockseq_id],
-                filter_reason=filter_reason,
+            add_access(AccessRow(
+                access_id, ts, ctx_id, txn_id, alloc_id, data_type, subclass,
+                member, access_type, _u64(address), size, stack_id, file,
+                line, seqs[lockseq_id], filter_reason,
             ))
         db.health = self.health()
         return db

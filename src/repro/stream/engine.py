@@ -90,7 +90,8 @@ class _StreamCtx(Ctx):
     def __init__(self, ctx_id: int, rank: int) -> None:
         super().__init__(ctx_id, rank)
         #: Open transaction's fold groups: entry -> [lockseq, has_write,
-        #: first access, accesses, stack ids, locations].
+        #: first access, accesses, stack ids, locations]; the two sets
+        #: are None until the group's second access.
         self.groups: Dict[MemberEntry, List] = {}
         #: Lazily built (all, write-mode) held lock-instance frozensets.
         self.held_sets: Optional[Tuple[frozenset, frozenset]] = None
@@ -144,6 +145,9 @@ class StreamEngine(Replay):
         # Race state (only populated with races=True).
         self._races = races
         self._tracks: Dict[Tuple[int, str], MemberTrack] = {}
+        self._held_sets: Dict[tuple, Tuple[frozenset, frozenset]] = {
+            (): (_EMPTY, _EMPTY)
+        }
         self._stamps: Dict[int, AccessStamp] = {}
         self._hb_index: Dict[int, int] = {}
         self._hb_knowledge: Dict[int, Mapping[int, int]] = {}
@@ -229,16 +233,24 @@ class StreamEngine(Replay):
         seq = self._lockseq(ctx, entry.alloc_id)
         group = ctx.groups.get(entry)
         if group is None:
+            # Most groups hold one access: their stack-id and location
+            # sets are made when a second access arrives.
             ctx.groups[entry] = [
                 seq, is_write, (self._access_counter, file, line, stack_id),
-                1, {stack_id}, {(file, line)},
+                1, None, None,
             ]
         else:
             if is_write:
                 group[1] = True
             group[3] += 1
-            group[4].add(stack_id)
-            group[5].add((file, line))
+            stacks = group[4]
+            if stacks is None:
+                _, first_file, first_line, first_stack = group[2]
+                group[4] = {first_stack, stack_id}
+                group[5] = {(first_file, first_line), (file, line)}
+            else:
+                stacks.add(stack_id)
+                group[5].add((file, line))
 
         if self._races:
             self._track_access(event, ctx, entry, seq, own)
@@ -291,6 +303,9 @@ class StreamEngine(Replay):
             for entry, (seq, is_write, first, accesses, stacks, locations) in (
                 groups.items()
             ):
+                if stacks is None:  # a single access
+                    _, file, line, stack_id = first
+                    stacks, locations = (stack_id,), ((file, line),)
                 member = entry.member
                 add(member.key_w if is_write else member.key_r, seq, first, 1,
                     accesses, stacks, locations)
@@ -342,21 +357,25 @@ class StreamEngine(Replay):
             self._tracks[(entry.alloc_id, entry.member.name)] = track
         held_sets = ctx.held_sets
         if held_sets is None:
-            held = ctx.held
-            if held:
-                all_ids = frozenset(h[0] for h in held)
-                write_ids = frozenset(h[0] for h in held if h[1] == "w")
-            else:
-                all_ids = write_ids = _EMPTY
-            held_sets = ctx.held_sets = (all_ids, write_ids)
+            held_sets = ctx.held_sets = self._held_sets_of(ctx.held)
         track.apply(row, held_sets)
         ts, ctx_id = row.ts, row.ctx_id
         self._stamps[ts] = AccessStamp(
-            ts=ts,
-            ctx_id=ctx_id,
-            index=own,
-            knows=self._hb_knowledge.get(ctx_id, _NO_KNOWLEDGE),
+            ts, ctx_id, own, self._hb_knowledge.get(ctx_id, _NO_KNOWLEDGE)
         )
+
+    def _held_sets_of(self, held) -> Tuple[frozenset, frozenset]:
+        """The (all, write-mode) held lock-instance sets of a held stack,
+        one shared pair per distinct held set (the twin of
+        :func:`~repro.analysis.lockset.held_sets_by_txn`)."""
+        key = tuple([(lock_id, mode) for lock_id, mode, _ in held])
+        sets = self._held_sets.get(key)
+        if sets is None:
+            sets = self._held_sets[key] = (
+                frozenset(lock_id for lock_id, _ in key),
+                frozenset(lock_id for lock_id, mode in key if mode == "w"),
+            )
+        return sets
 
     # ------------------------------------------------------------------
     # Interval accounting

@@ -23,7 +23,7 @@ from typing import Callable, TypeVar
 
 #: Largest tolerated time ratio when the input doubles.
 MAX_DOUBLING_RATIO = 2.4
-PAIRS = 5
+PAIRS = 7
 
 Input = TypeVar("Input")
 

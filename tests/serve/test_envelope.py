@@ -1,5 +1,7 @@
 """Deadline / token-bucket / admission unit tests (injected clocks)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.serve.envelope import Admission, ClientBudgets, Deadline, TokenBucket
@@ -91,6 +93,41 @@ class TestClientBudgets:
         budgets.try_take("newcomer")  # evicts client-1, not client-0
         assert "client-0" in budgets._buckets
         assert "client-1" not in budgets._buckets
+
+
+class TestDefaultBudget:
+    """``ClientBudgets`` at the ``ServerConfig`` defaults (200/s, burst
+    400), on an injected clock."""
+
+    @staticmethod
+    def _budgets(clock):
+        from repro.serve.server import ServerConfig
+
+        config = ServerConfig(socket_path=Path("unused.sock"), workers=1)
+        assert (config.bucket_rate, config.bucket_burst) == (200.0, 400.0)
+        return ClientBudgets(
+            rate=config.bucket_rate, burst=config.bucket_burst, clock=clock
+        )
+
+    def test_client_paced_below_the_rate_is_never_refused(self):
+        clock = FakeClock()
+        budgets = self._budgets(clock)
+        refused = 0
+        for _ in range(2000):
+            refused += not budgets.try_take("paced")[0]
+            clock.advance(1 / 150)  # 150 requests/s
+        assert refused == 0
+
+    def test_back_to_back_client_is_held_to_the_rate_past_the_burst(self):
+        clock = FakeClock()
+        budgets = self._budgets(clock)
+        granted = []
+        for _ in range(3000):  # 1,000 requests/s for 3 s
+            granted.append(budgets.try_take("flood")[0])
+            clock.advance(0.001)
+        assert all(granted[:400])  # the burst
+        assert abs(sum(granted) - (400 + 200 * 3)) <= 1
+        assert abs(sum(granted[-1000:]) - 200) <= 1  # the last second
 
 
 class TestAdmission:

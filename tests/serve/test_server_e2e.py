@@ -189,9 +189,13 @@ class TestBudgetsAndShedding:
 
 
     def test_default_budget_admits_one_closed_loop_client(self, daemon):
-        # One client sending back to back, as fast as the warm daemon
-        # answers: the default bucket must not refuse it.  (The old
-        # 20/s, burst-40 default did, once its burst ran out.)
+        # One client sending 200 requests back to back, as fast as the
+        # warm daemon answers: all of them fit in the default burst of
+        # 400, so this pins the burst (the old 20/s, burst-40 default
+        # refused such a client once its burst ran out).  What the
+        # default rate does to a paced and to a flooding client past
+        # the burst is pinned with an injected clock in
+        # tests/serve/test_envelope.py (TestDefaultBudget).
         client = daemon.client(client_id="closed-loop")
         params = {"workload": "mix", "seed": 0, "scale": 0.5}
         client.request("stats", params, deadline=300)  # cold fill
