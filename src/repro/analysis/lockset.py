@@ -59,15 +59,25 @@ class MemberTrack:
     pickling of the dataclass it replaces.  ``_intersected`` is the
     held set :meth:`apply` last refined ``lockset`` with; it is a cache,
     not state, so equality and pickling leave it out.
+
+    Most pairs never leave ``EXCLUSIVE``, and only candidates' context
+    sets are read, so ``ctx_ids`` and ``write_ctx_ids`` are made when
+    the track leaves ``EXCLUSIVE`` (or when first read).  Until then
+    ``_ctx_ids`` is None and the sets are implied: ``{first_ctx}``
+    (empty before the first access), and ``{first_ctx}`` for the writers
+    once ``_wrote``.
     """
 
     __slots__ = (
         "alloc_id", "member", "type_key", "state", "lockset", "first_ctx",
-        "ctx_ids", "write_ctx_ids", "accesses", "_intersected",
+        "_ctx_ids", "_write_ctx_ids", "accesses", "_wrote", "_intersected",
     )
 
-    #: The slots that make up a track's value.
-    _FIELDS = __slots__[:-1]
+    #: The values that make up a track, in constructor order.
+    _FIELDS = (
+        "alloc_id", "member", "type_key", "state", "lockset", "first_ctx",
+        "ctx_ids", "write_ctx_ids", "accesses",
+    )
 
     def __init__(
         self,
@@ -87,13 +97,60 @@ class MemberTrack:
         self.state = state
         self.lockset = lockset
         self.first_ctx = first_ctx
-        self.ctx_ids = set() if ctx_ids is None else ctx_ids
-        self.write_ctx_ids = set() if write_ctx_ids is None else write_ctx_ids
+        self._wrote = False
+        if ctx_ids is None and write_ctx_ids is None and first_ctx is None:
+            # Both sets are empty, as implied.
+            self._ctx_ids = self._write_ctx_ids = None
+        else:
+            self._ctx_ids = set() if ctx_ids is None else ctx_ids
+            self._write_ctx_ids = (
+                set() if write_ctx_ids is None else write_ctx_ids
+            )
         self.accesses = [] if accesses is None else accesses
         self._intersected: Optional[FrozenSet[int]] = None
 
+    def _implied(self) -> Tuple[Set[int], Set[int]]:
+        """The context sets while they are implied (``_ctx_ids`` None)."""
+        first = self.first_ctx
+        if first is None:
+            return set(), set()
+        return {first}, ({first} if self._wrote else set())
+
+    def _sets(self) -> Tuple[Set[int], Set[int]]:
+        """The context sets, made now if they are still implied."""
+        if self._ctx_ids is None:
+            self._ctx_ids, self._write_ctx_ids = self._implied()
+        return self._ctx_ids, self._write_ctx_ids
+
+    @property
+    def ctx_ids(self) -> Set[int]:
+        return self._sets()[0]
+
+    @ctx_ids.setter
+    def ctx_ids(self, value: Set[int]) -> None:
+        self._sets()
+        self._ctx_ids = value
+
+    @property
+    def write_ctx_ids(self) -> Set[int]:
+        return self._sets()[1]
+
+    @write_ctx_ids.setter
+    def write_ctx_ids(self, value: Set[int]) -> None:
+        self._sets()
+        self._write_ctx_ids = value
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
+        """The track's value (reading it makes no sets)."""
+        if self._ctx_ids is None:
+            ctx_ids, write_ctx_ids = self._implied()
+        else:
+            ctx_ids, write_ctx_ids = self._ctx_ids, self._write_ctx_ids
+        return (
+            self.alloc_id, self.member, self.type_key, self.state,
+            self.lockset, self.first_ctx, ctx_ids, write_ctx_ids,
+            self.accesses,
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -104,7 +161,8 @@ class MemberTrack:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._FIELDS
+            f"{name}={value!r}"
+            for name, value in zip(self._FIELDS, self._values())
         )
         return f"MemberTrack({fields})"
 
@@ -112,8 +170,10 @@ class MemberTrack:
         return self._values()
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self._FIELDS, state):
-            setattr(self, name, value)
+        (self.alloc_id, self.member, self.type_key, self.state, self.lockset,
+         self.first_ctx, self._ctx_ids, self._write_ctx_ids,
+         self.accesses) = state
+        self._wrote = False
         self._intersected = None
 
     @property
@@ -133,7 +193,7 @@ class MemberTrack:
         ctx_id = access.ctx_id
         state = self.state
         if state is MemberState.VIRGIN:
-            self.state = MemberState.EXCLUSIVE
+            state = self.state = MemberState.EXCLUSIVE
             self.first_ctx = ctx_id
             self.lockset = protecting
         else:
@@ -141,14 +201,22 @@ class MemberTrack:
                 self.lockset &= protecting
             if ctx_id != self.first_ctx or state is not MemberState.EXCLUSIVE:
                 if is_write:
-                    self.state = MemberState.SHARED_MODIFIED
+                    state = self.state = MemberState.SHARED_MODIFIED
                 elif state is MemberState.EXCLUSIVE:
-                    self.state = MemberState.SHARED
+                    state = self.state = MemberState.SHARED
         self._intersected = protecting
-        self.ctx_ids.add(ctx_id)
-        if is_write:
-            self.write_ctx_ids.add(ctx_id)
         self.accesses.append(access)
+        ctx_ids = self._ctx_ids
+        if ctx_ids is None:
+            if state is MemberState.EXCLUSIVE:
+                # Still this context's alone: the sets stay implied.
+                if is_write:
+                    self._wrote = True
+                return
+            ctx_ids = self._sets()[0]
+        ctx_ids.add(ctx_id)
+        if is_write:
+            self._write_ctx_ids.add(ctx_id)
 
 
 @dataclass

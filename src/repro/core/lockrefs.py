@@ -64,6 +64,30 @@ class LockRef:
             raise ValueError("global lock refs carry no owner type")
         if self.scope != Scope.GLOBAL and not self.owner_type:
             raise ValueError(f"{self.scope.value} lock ref requires owner_type")
+        self._cache_hash()
+
+    # Every lock sequence lookup hashes each of its refs, so the hash
+    # is computed once per ref.  It is not a field (equality, ordering
+    # and repr ignore it) and is never pickled: ``str`` hashes differ
+    # between processes, so an unpickled ref computes its own.
+
+    def _cache_hash(self) -> None:
+        self.__dict__["_hash"] = hash(
+            (self.scope, self.name, self.owner_type, self.mode)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {
+            "scope": self.scope, "name": self.name,
+            "owner_type": self.owner_type, "mode": self.mode,
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._cache_hash()
 
     @classmethod
     def global_(cls, name: str, mode: str = "w") -> "LockRef":

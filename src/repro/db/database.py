@@ -7,12 +7,14 @@ laptop-scale Python run fits comfortably in memory.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import fields
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, le
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.lockrefs import LockSeq
+from repro.core.lockrefs import LockRef, LockSeq
 from repro.db.schema import AccessRow, AllocationRow, HeldLock, LockRow, TxnRow
 from repro.kernel.structs import StructRegistry
 
@@ -34,6 +36,7 @@ _access_head = attrgetter(*(field.name for field in fields(AccessRow)[:-2]))
 _allocation_fields = _field_getter(AllocationRow)
 _lock_fields = _field_getter(LockRow)
 _held_fields = _field_getter(HeldLock)
+_ts = attrgetter("ts")
 
 
 class LockSeqTable:
@@ -98,6 +101,7 @@ class TraceDatabase:
         #: Every row (kept or not) per context, in table order: the
         #: span repairs touch one context's rows, not the whole table.
         self._accesses_by_ctx: Dict[int, List[AccessRow]] = defaultdict(list)
+        self._ts_ordered: Dict[int, Tuple[int, bool]] = {}
 
     # ------------------------------------------------------------------
     # Pickled layout (the cache's ``db`` artifact)
@@ -177,6 +181,7 @@ class TraceDatabase:
         self._accesses_by_type = index(state["by_type"])
         self._accesses_by_txn = index(state["by_txn"])
         self._accesses_by_ctx = index(state["by_ctx"])
+        self._ts_ordered = {}
 
     # ------------------------------------------------------------------
     # Population (importer API)
@@ -194,9 +199,21 @@ class TraceDatabase:
     def add_access(self, row: AccessRow) -> None:
         self.accesses.append(row)
         self._accesses_by_ctx[row.ctx_id].append(row)
-        if row.kept:
+        if row.filter_reason is None:  # kept
             self._accesses_by_type[row.type_key].append(row)
             self._accesses_by_txn[row.txn_id].append(row)
+
+    def add_accesses(self, rows: List[AccessRow]) -> None:
+        """:meth:`add_access` for every row of *rows*, in order."""
+        self.accesses.extend(rows)
+        by_ctx, by_type, by_txn = (
+            self._accesses_by_ctx, self._accesses_by_type, self._accesses_by_txn
+        )
+        for row in rows:
+            by_ctx[row.ctx_id].append(row)
+            if row.filter_reason is None:  # kept
+                by_type[row.type_key].append(row)
+                by_txn[row.txn_id].append(row)
 
     def set_stack_table(self, table: Sequence[StackFrames]) -> None:
         self.stack_table = list(table)
@@ -232,7 +249,7 @@ class TraceDatabase:
         newly filtered.
         """
         flagged = 0
-        for row in self._accesses_by_ctx.get(ctx_id, ()):
+        for row in self._span(ctx_id, start_ts, end_ts, True):
             if row.filter_reason is None and start_ts <= row.ts <= end_ts:
                 row.filter_reason = reason
                 self._accesses_by_type[row.type_key].remove(row)
@@ -254,22 +271,62 @@ class TraceDatabase:
         Returns how many rows were repaired.
         """
         scrubbed = 0
-        for row in self._accesses_by_ctx.get(ctx_id, ()):
+        refs: Dict[int, LockRef] = {}
+        # Rows share their sequences, so each (sequence, ref) pair is
+        # scrubbed once and its rows share the result (None: the ref is
+        # not in it).  Keyed by identity; the entry keeps the sequence
+        # alive so its id is not reused.
+        scrubs: Dict[Tuple[int, int], Tuple[LockSeq, Optional[LockSeq]]] = {}
+        for row in self._span(ctx_id, cutoff_ts, end_ts, False):
+            lockseq = row.lockseq
             if (
                 not cutoff_ts < row.ts <= end_ts
                 or row.filter_reason is not None
-                or not row.lockseq
+                or not lockseq
             ):
                 continue
-            ref = ref_for(row.alloc_id)
-            seq = list(row.lockseq)
-            try:
-                seq.remove(ref)
-            except ValueError:
+            ref = refs.get(row.alloc_id)
+            if ref is None:
+                ref = refs[row.alloc_id] = ref_for(row.alloc_id)
+            key = (id(lockseq), id(ref))
+            entry = scrubs.get(key)
+            if entry is None:
+                seq = list(lockseq)
+                try:
+                    seq.remove(ref)
+                except ValueError:
+                    seq = None
+                entry = scrubs[key] = (
+                    lockseq, None if seq is None else tuple(seq)
+                )
+            if entry[1] is None:
                 continue
-            row.lockseq = tuple(seq)
+            row.lockseq = entry[1]
             scrubbed += 1
         return scrubbed
+
+    def _span(
+        self, ctx_id: int, start_ts: int, end_ts: int, from_start: bool
+    ) -> Sequence[AccessRow]:
+        """The rows of *ctx_id* a span repair must visit: those with
+        ``start_ts <= ts <= end_ts`` (``start_ts < ts`` unless
+        *from_start*) when the context's rows are in ts order, else
+        all of them (a reordered trace can leave them out of order).
+        Whether they are is checked once per context and row count."""
+        rows = self._accesses_by_ctx.get(ctx_id)
+        if not rows:
+            return ()
+        count, ordered = self._ts_ordered.get(ctx_id, (-1, False))
+        if count != len(rows):
+            stamps = list(map(_ts, rows))
+            ordered = all(map(le, stamps, islice(stamps, 1, None)))
+            self._ts_ordered[ctx_id] = (len(rows), ordered)
+        if not ordered:
+            return rows
+        first = (bisect_left if from_start else bisect_right)(
+            rows, start_ts, key=_ts
+        )
+        return rows[first:bisect_right(rows, end_ts, lo=first, key=_ts)]
 
     # ------------------------------------------------------------------
     # Lookup

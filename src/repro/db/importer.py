@@ -187,23 +187,41 @@ class Importer(Replay):
         self._stack_table = stack_table if len(stack_table) > 0 else [()]
         self.db.set_stack_table(self._stack_table)
         final_ts = 0
+        on_access, on_lock = self._on_access, self._on_lock
         for event in events:
             self.total_events += 1
-            final_ts = getattr(event, "ts", final_ts)
-            if isinstance(event, AllocEvent):
+            # Exact classes first, the most frequent first.
+            cls = event.__class__
+            if cls is AccessEvent:
+                on_access(event)
+            elif cls is LockEvent:
+                on_lock(event)
+            elif cls is AllocEvent:
                 self._on_alloc(event)
-            elif isinstance(event, FreeEvent):
+            elif cls is FreeEvent:
                 self._on_free(event)
-            elif isinstance(event, LockEvent):
-                self._on_lock(event)
-            elif isinstance(event, AccessEvent):
-                self._on_access(event)
             else:
-                self._reject(event, Q_UNKNOWN_EVENT, f"unknown event {event!r}")
+                final_ts = getattr(event, "ts", final_ts)
+                self._dispatch_other(event)
+                continue
+            final_ts = event[0]  # every event class's first field
         self._finalize(final_ts)
         self._enforce_budget()
         self.db.health = self.health()
         return self.db
+
+    def _dispatch_other(self, event: Event) -> None:
+        """An event of a subclass of an event class, or of none."""
+        if isinstance(event, AllocEvent):
+            self._on_alloc(event)
+        elif isinstance(event, FreeEvent):
+            self._on_free(event)
+        elif isinstance(event, LockEvent):
+            self._on_lock(event)
+        elif isinstance(event, AccessEvent):
+            self._on_access(event)
+        else:
+            self._reject(event, Q_UNKNOWN_EVENT, f"unknown event {event!r}")
 
     def _finalize(self, final_ts: int) -> None:
         """Close dangling transactions, synthesizing missing releases,

@@ -9,13 +9,32 @@ refer to all held *locks* in locking order; each access carries a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Tuple
 
 from repro.core.lockrefs import LockSeq
 
 
-@dataclass
+def _pickled_by_fields(cls):
+    """Pickle a slotted row as a call of its constructor with its field
+    values, at every protocol (a non-frozen slotted class pickles only
+    at protocol 2 and up otherwise), and without field names."""
+    values = attrgetter(*(field.name for field in fields(cls)))
+
+    def __reduce__(self):
+        return cls, values(self)
+
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+# Rows are slotted: a trace holds tens of thousands of them, and a
+# per-row attribute dict costs more than the row's values.
+
+
+@_pickled_by_fields
+@dataclass(slots=True)
 class AllocationRow:
     """One dynamic allocation with its lifetime (Fig. 6)."""
     alloc_id: int
@@ -34,7 +53,8 @@ class AllocationRow:
         return self.data_type
 
 
-@dataclass(frozen=True)
+@_pickled_by_fields
+@dataclass(frozen=True, slots=True)
 class LockRow:
     """One lock instance seen in the trace.
 
@@ -53,7 +73,8 @@ class LockRow:
     owner_member: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@_pickled_by_fields
+@dataclass(frozen=True, slots=True)
 class HeldLock:
     """A (lock, mode) pair inside a transaction, in acquisition order."""
 
@@ -61,7 +82,8 @@ class HeldLock:
     mode: str  # "r" or "w"
 
 
-@dataclass(frozen=True)
+@_pickled_by_fields
+@dataclass(frozen=True, slots=True)
 class TxnRow:
     """A transaction: a maximal access span with a fixed set of held locks.
 
@@ -81,7 +103,8 @@ class TxnRow:
     synthetic_close: bool = False
 
 
-@dataclass
+@_pickled_by_fields
+@dataclass(slots=True)
 class AccessRow:
     """One member-resolved memory access.
 

@@ -78,10 +78,24 @@ _ACCESS_INSERT = (
     "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
 )
 
+#: An access's ``(file, line)`` in the fold's column order.
+_place = itemgetter(5, 6)
+
 _ACCESS_COLUMNS = (
     "access_id, ts, ctx_id, txn_id, alloc_id, data_type, subclass, member, "
     "access_type, address, size, stack_id, file, line, lockseq_id"
 )
+
+
+class _SharedText(dict):
+    """UTF-8 bytes -> their ``str``, decoded once per distinct value.
+
+    Its ``__getitem__`` as a connection's ``text_factory`` hands every
+    text cell of one value the same object."""
+
+    def __missing__(self, raw: bytes) -> str:
+        text = self[raw] = raw.decode()
+        return text
 
 
 class StoreCorrupt(ValueError):
@@ -507,6 +521,10 @@ class SqliteTraceStore:
             "FROM accesses WHERE filter_reason IS NULL "
             "ORDER BY txn_id, alloc_id, member, access_id"
         )
+        # The groups' sets keep one location tuple (and so one file
+        # string) and one stack id object per distinct value, not one
+        # per cell sqlite3 hands back.
+        shared = {}.setdefault
         for (_, _, member), group in groupby(cursor, itemgetter(0, 1, 2)):
             rows = list(group)
             first = rows[0]
@@ -515,9 +533,12 @@ class SqliteTraceStore:
                 data_type = f"{data_type}:{subclass}"
             # Write over read: one write makes the observation a write.
             access_type = "w" if any(row[3] == "w" for row in rows) else "r"
+            stacks = [shared(row[7], row[7]) for row in rows]
+            places = [shared(place, place) for place in map(_place, rows)]
             table.add(
-                (data_type, member, access_type), seqs[seq_id], first[4:8],
-                1, len(rows), [row[7] for row in rows], [row[5:7] for row in rows],
+                (data_type, member, access_type), seqs[seq_id],
+                (first[4], *places[0], stacks[0]), 1, len(rows), stacks,
+                places,
             )
         (table.synthetic_excluded,) = self.connection.execute(
             "SELECT COUNT(*) FROM accesses WHERE filter_reason IN (?, ?)",
@@ -541,15 +562,33 @@ class SqliteTraceStore:
 
             structs, _ = database_inputs(self.recipe)
         conn = self.connection
+        # sqlite3 hands back a fresh object for every cell.  Every row
+        # gets one shared object per distinct value instead, as the
+        # importer's rows share their events' and allocations': text
+        # through the connection's text factory, while this load runs,
+        # and the ids and lines that repeat across rows through one
+        # table.  Allocation and transaction rows load first, so access
+        # rows share their ids.
+        conn.text_factory = _SharedText().__getitem__
+        try:
+            db = self._load_rows(conn, structs, {}.setdefault)
+        finally:
+            conn.text_factory = str
+        db.health = self.health()
+        return db
+
+    def _load_rows(
+        self, conn: sqlite3.Connection, structs: StructRegistry, shared
+    ) -> TraceDatabase:
+        """:meth:`load_database`'s rows; *shared* interns a value."""
         db = TraceDatabase(structs)
         for (alloc_id, address, size, data_type, subclass, alloc_ts,
              free_ts) in conn.execute(
                 "SELECT alloc_id, address, size, data_type, subclass, "
                 "alloc_ts, free_ts FROM allocations ORDER BY alloc_id"):
             db.add_allocation(AllocationRow(
-                alloc_id=alloc_id, address=_u64(address), size=size,
-                data_type=data_type, subclass=subclass, alloc_ts=alloc_ts,
-                free_ts=free_ts,
+                shared(alloc_id, alloc_id), _u64(address), size, data_type,
+                subclass, alloc_ts, free_ts,
             ))
         for (lock_id, lock_class, name, address, is_static, owner_alloc_id,
              owner_data_type, owner_member) in conn.execute(
@@ -557,10 +596,9 @@ class SqliteTraceStore:
                 "owner_alloc_id, owner_data_type, owner_member "
                 "FROM locks ORDER BY lock_id"):
             db.add_lock(LockRow(
-                lock_id=lock_id, lock_class=lock_class, name=name,
-                address=_u64(address), is_static=bool(is_static),
-                owner_alloc_id=owner_alloc_id,
-                owner_data_type=owner_data_type, owner_member=owner_member,
+                lock_id, lock_class, name, _u64(address), bool(is_static),
+                shared(owner_alloc_id, owner_alloc_id), owner_data_type,
+                owner_member,
             ))
         pairs: Dict[int, List[Tuple[int, str]]] = {}
         for txn_id, lock_id, mode in conn.execute(
@@ -583,10 +621,8 @@ class SqliteTraceStore:
                     HeldLock(lock_id, mode) for lock_id, mode in key
                 )
             db.add_txn(TxnRow(
-                txn_id=txn_id, ctx_id=ctx_id, start_ts=start_ts,
-                end_ts=end_ts, held=held,
-                no_locks=bool(no_locks),
-                synthetic_close=bool(synthetic_close),
+                shared(txn_id, txn_id), shared(ctx_id, ctx_id), start_ts,
+                end_ts, held, bool(no_locks), bool(synthetic_close),
             ))
         stack_count = int(self.meta.get("stack_count", "1"))
         stacks: List[StackFrames] = [()] * max(stack_count, 1)
@@ -599,17 +635,18 @@ class SqliteTraceStore:
             stacks[stack_id] = tuple(frame_list)
         db.set_stack_table(stacks)
         seqs = self.lockseq_table()
-        add_access = db.add_access
         # Positional: the selected columns are AccessRow's fields in order.
-        for (access_id, ts, ctx_id, txn_id, alloc_id, data_type, subclass,
-             member, access_type, address, size, stack_id, file, line,
-             lockseq_id, filter_reason) in conn.execute(
+        db.add_accesses([
+            AccessRow(
+                access_id, ts, shared(ctx_id, ctx_id), shared(txn_id, txn_id),
+                shared(alloc_id, alloc_id), data_type, subclass, member,
+                access_type, _u64(address), size, shared(stack_id, stack_id),
+                file, shared(line, line), seqs[lockseq_id], filter_reason,
+            )
+            for (access_id, ts, ctx_id, txn_id, alloc_id, data_type, subclass,
+                 member, access_type, address, size, stack_id, file, line,
+                 lockseq_id, filter_reason) in conn.execute(
                 f"SELECT {_ACCESS_COLUMNS}, filter_reason FROM accesses "
-                "ORDER BY access_id"):
-            add_access(AccessRow(
-                access_id, ts, ctx_id, txn_id, alloc_id, data_type, subclass,
-                member, access_type, _u64(address), size, stack_id, file,
-                line, seqs[lockseq_id], filter_reason,
-            ))
-        db.health = self.health()
+                "ORDER BY access_id")
+        ])
         return db

@@ -15,6 +15,9 @@ per access.  Both must render the same text:
 A counting ``DerivationResult`` proxy pins the lookups to at most two
 per candidate track, and the ``race-candidates`` cache artifact
 round-trips ``MemberTrack`` (and ``AccessStamp`` pickles on its own).
+A ``MemberTrack`` makes its context sets only when it leaves
+``EXCLUSIVE``; every track of a real run must still equal, print and
+pickle like one that computed them eagerly from its rows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import pytest
 
 from repro import cache
 from repro.analysis.happens import AccessStamp, HappensBeforeIndex
-from repro.analysis.lockset import MemberState, MemberTrack
+from repro.analysis.lockset import MemberState, MemberTrack, run_lockset
 from repro.analysis.racedetect import (
     RaceCandidates,
     RaceClass,
@@ -378,3 +381,83 @@ def test_access_stamp_pickles_and_keeps_its_readers():
     assert "knows={1: 3}" in repr(stamp)
     index = HappensBeforeIndex({5: stamp})
     assert pickle.loads(pickle.dumps(index)).stamp(5) == stamp
+
+
+# ----------------------------------------------------------------------
+# On-demand context sets
+# ----------------------------------------------------------------------
+
+
+def _eager(track: MemberTrack) -> MemberTrack:
+    """The track with its context sets computed from its rows, as the
+    eager dataclass kept them."""
+    rows = track.accesses
+    return MemberTrack(
+        alloc_id=track.alloc_id, member=track.member, type_key=track.type_key,
+        state=track.state, lockset=track.lockset, first_ctx=track.first_ctx,
+        ctx_ids={row.ctx_id for row in rows},
+        write_ctx_ids={row.ctx_id for row in rows if row.access_type == "w"},
+        accesses=list(rows),
+    )
+
+
+@pytest.fixture(scope="module", params=("racer", "mix"))
+def lockset_tracks(request):
+    cache.set_enabled(False)
+    try:
+        result = registry.run(request.param, seed=0, scale=1.0)
+    finally:
+        cache.set_enabled(True)
+    return list(run_lockset(result.to_database()).tracks.values())
+
+
+def test_tracks_make_context_sets_only_past_exclusive(lockset_tracks):
+    exclusive = [t for t in lockset_tracks if t.state is MemberState.EXCLUSIVE]
+    assert exclusive and len(exclusive) < len(lockset_tracks)
+    assert any(r.access_type == "w" for t in exclusive for r in t.accesses)
+    for track in lockset_tracks:
+        assert (track._ctx_ids is None) == (track.state is MemberState.EXCLUSIVE)
+        eager = _eager(track)
+        # Equality, repr and pickling read the implied sets without
+        # making them; the pickle is the eager track's, byte for byte.
+        assert track == eager and repr(track) == repr(eager)
+        assert pickle.dumps(track) == pickle.dumps(eager)
+        assert (track._ctx_ids is None) == (track.state is MemberState.EXCLUSIVE)
+        assert pickle.loads(pickle.dumps(track)) == eager
+        assert (track.ctx_ids, track.write_ctx_ids) == (
+            eager.ctx_ids, eager.write_ctx_ids,
+        )
+
+
+def test_exclusive_track_makes_its_sets_when_another_context_comes():
+    held = (frozenset({7}), frozenset({7}))
+    track = MemberTrack(alloc_id=1, member="a", type_key="pair")
+    track.apply(_row(1, 1, "a", "w"), held)
+    track.apply(_row(2, 1, "a", "r"), held)
+    assert track.state is MemberState.EXCLUSIVE and track._ctx_ids is None
+    assert track == _eager(track)
+    assert "ctx_ids={1}, write_ctx_ids={1}" in repr(track)
+    track.apply(_row(3, 2, "a", "r"), held)
+    assert track.state is MemberState.SHARED
+    assert (track._ctx_ids, track._write_ctx_ids) == ({1, 2}, {1})
+    track.apply(_row(4, 3, "a", "w"), held)
+    assert track.state is MemberState.SHARED_MODIFIED
+    assert track == _eager(track)
+
+
+def test_reading_an_exclusive_tracks_sets_makes_them_for_good():
+    held = (frozenset(), frozenset())
+    track = MemberTrack(alloc_id=1, member="a", type_key="pair")
+    assert (track.ctx_ids, track.write_ctx_ids) == (set(), set())
+    track = MemberTrack(alloc_id=1, member="a", type_key="pair")
+    track.apply(_row(1, 4, "a", "r"), held)
+    ctx_ids = track.ctx_ids
+    assert ctx_ids == {4} and track._ctx_ids is ctx_ids
+    ctx_ids.add(9)  # a caller's edit sticks, as on the dataclass
+    track.apply(_row(2, 4, "a", "w"), held)
+    assert (track.ctx_ids, track.write_ctx_ids) == ({4, 9}, {4})
+    track.write_ctx_ids = {5}
+    assert track.write_ctx_ids == {5} and track.ctx_ids == {4, 9}
+    # A track built with its sets keeps them, whatever its state.
+    given = MemberTrack(1, "a", "pair", MemberState.EXCLUSIVE, first_ctx=3)
+    assert (given.ctx_ids, given.write_ctx_ids) == (set(), set())

@@ -1,5 +1,12 @@
 """Unit and property tests for lock references."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,3 +148,52 @@ class TestLockScope:
         assert first.ref("w", 9) is second.ref("w", 9)
         assert first.ref("w", 3) is second.ref("w", 4)
         assert len(interned) == 1
+
+
+class TestHashAndPickle:
+    """The hash is computed once per ref and never pickled."""
+
+    REFS = (
+        LockRef.global_("inode_hash_lock"),
+        LockRef.es("i_lock", "inode", "r"),
+        LockRef.eo("wb.list_lock", "backing_dev_info"),
+    )
+
+    def test_hash_is_the_value_hash(self):
+        for ref in self.REFS:
+            assert hash(ref) == hash((ref.scope, ref.name, ref.owner_type, ref.mode))
+            assert hash(ref) == hash(LockRef.parse(ref.format()))
+
+    def test_pickle_keeps_value_and_repr(self):
+        for ref in self.REFS:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                loaded = pickle.loads(pickle.dumps(ref, protocol=protocol))
+                assert loaded == ref and hash(loaded) == hash(ref)
+                assert repr(loaded) == repr(ref)
+            assert "_hash=" not in repr(ref)
+            assert set(ref.__getstate__()) == {"scope", "name", "owner_type", "mode"}
+            assert dataclasses.replace(ref) == ref
+            assert copy.deepcopy(ref) == ref
+
+    def test_dict_key_survives_unpickling_under_another_hash_seed(self):
+        # ``str`` hashes differ between processes: a pickled hash would
+        # put the key in the wrong bucket of the loading process.
+        table = {(ref, LockRef.global_("rcu", "r")): n for n, ref in enumerate(self.REFS)}
+        probe = (
+            "import pickle, sys\n"
+            "from repro.core.lockrefs import LockRef\n"
+            "table = pickle.loads(sys.stdin.buffer.read())\n"
+            "for key in %r:\n"
+            "    assert table[tuple(LockRef.parse(t) for t in key)] >= 0, key\n"
+            "assert {LockRef.parse(t) for t in ('rcu:r', 'rcu:r')} == {LockRef.global_('rcu', 'r')}\n"
+            "print(len(table))\n"
+        ) % ([tuple(ref.format() for ref in key) for key in table],)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            result = subprocess.run(
+                [sys.executable, "-c", probe], input=pickle.dumps(table),
+                env=env, capture_output=True, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            assert result.stdout.decode().strip() == str(len(table))

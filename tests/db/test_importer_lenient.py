@@ -108,6 +108,30 @@ class TestQuarantine:
         importer = _run([object()], [()], rt.structs, LENIENT_POLICY)
         assert [q.reason for q in importer.quarantine] == [Q_UNKNOWN_EVENT]
 
+    def test_event_subclasses_import_like_their_class(self, world):
+        # Exact classes dispatch first; subclasses take the isinstance
+        # path and must land in the same handlers.
+        rt, ctx = world
+        obj = rt.new_object(ctx, "pair")
+        rt.run(rt.spin_lock(ctx, obj.lock("lock_a")))
+        rt.write(ctx, obj, "a")
+        rt.spin_unlock(ctx, obj.lock("lock_a"))
+        rt.delete_object(ctx, obj)
+        events, stacks = _trace_of(rt)
+        subclasses = {
+            cls: type(f"Sub{cls.__name__}", (cls,), {"__slots__": ()})
+            for cls in (AccessEvent, AllocEvent, FreeEvent, LockEvent)
+        }
+        assert {type(e) for e in events} == set(subclasses)
+        derived = [subclasses[type(e)](*e) for e in events]
+        plain = _run(events, stacks, rt.structs)
+        sub = _run(derived, stacks, rt.structs)
+        assert sub.db.accesses == plain.db.accesses
+        assert sub.db.txns == plain.db.txns
+        assert sub.db.allocations == plain.db.allocations
+        assert sub.health() == plain.health()
+        assert not sub.quarantine
+
     def test_unmatched_release_counted_in_filter_stats(self, world):
         # Satellite check: the unmatched release is tolerated in both
         # modes but shows up in FilterStats under its dedicated reason.
@@ -320,6 +344,31 @@ class TestStaleLockRepair:
         # Scrubbed rows are repaired, not discarded.
         assert rows[30].filter_reason is None
         assert importer.health().scrubbed_accesses == 2
+
+    def test_scrub_visits_every_row_of_a_context_out_of_ts_order(self, structs):
+        # A reordered trace leaves a context's rows out of ts order:
+        # the span repairs cannot bisect them, and must still reach
+        # every row in the span (a bisect over ts 30, 10, 40 for the
+        # span (22, 50] would start past the row at 30).
+        events = [
+            _ALLOC,
+            _lock_ev(3, 1),
+            _lock_ev(5, 1, acquire=False),  # a clean hold: cap 2
+            _lock_ev(20, 1),  # its release is lost
+            _write_ev(30, 1, offset=8),
+            _write_ev(10, 1),
+            _write_ev(40, 1, offset=8),
+            _lock_ev(50, 2),  # detection point
+            _lock_ev(51, 2, acquire=False),
+        ]
+        importer = _run(events, [()], structs)
+        assert importer.scrubbed_accesses == 2
+        rows = {a.ts: a for a in importer.db.accesses}
+        assert rows[30].lockseq == () and rows[40].lockseq == ()
+        assert len(rows[10].lockseq) == 1
+        # In ts order, the same trace scrubs the same rows.
+        ordered = _run(sorted(events, key=lambda e: e.ts), [()], structs)
+        assert ordered.scrubbed_accesses == 2
 
     def test_fence_when_lock_never_held_cleanly(self, structs):
         # No clean hold of the mutex exists anywhere, so there is no

@@ -8,11 +8,15 @@ are the unindexed originals: a scan over every context ever seen and
 scans over every access row.  Every ``repro.faults`` operator, on two
 workloads and three seeds, must give the same fences, the same
 :class:`~repro.db.health.TraceHealth` and the same ``(lockseq,
-filter_reason)`` on every access row, on both storage backends.
+filter_reason)`` on every access row, on both storage backends, and
+the in-memory database must pickle to the same bytes.  The span
+lookup bisects a context's rows when they are in ts order; the
+reorder operator leaves some out of order, which takes the scan.
 """
 
 from __future__ import annotations
 
+import pickle
 import sqlite3
 from typing import List, Tuple
 
@@ -130,6 +134,8 @@ def _memory(importer_cls, db_cls, structs, filters, events, stacks):
     importer = importer_cls(structs, filters, POLICY, db=db_cls(structs))
     db = importer.run(events, stacks)
     rows = [(r.access_id, r.lockseq, r.filter_reason) for r in db.accesses]
+    # The pickled database (its state: both sides' classes differ).
+    rows.append(pickle.dumps(db.__getstate__()))
     return importer._fences, importer.health(), rows
 
 
