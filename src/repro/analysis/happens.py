@@ -16,9 +16,12 @@ every race the interleaving merely failed to express.  What remains is
 exactly the order the *synchronization operations* guarantee — the
 order that still holds when the scheduler makes different choices.
 
-The builder is a single forward pass over the event stream keeping one
-sparse clock per context (see :mod:`repro.analysis.vectorclock` for the
-semantics).  Two representation tricks keep it linear-ish on traces
+The relation comes from one forward pass over the event stream,
+:func:`access_clocks`, keeping one sparse clock per context (see
+:mod:`repro.analysis.vectorclock` for the semantics).  It hands each
+access's coordinates to its consumer as it reaches them:
+:meth:`HappensBeforeIndex.build` stores them as stamps, while the race
+detector judges each candidate access on the spot and stores none.  Two representation tricks keep it linear-ish on traces
 with hundreds of thousands of events and thousands of contexts:
 
 * a release is an O(1) snapshot ``(ctx, own_index, knowledge_ref)`` —
@@ -36,7 +39,9 @@ Since every edge points forward in trace time, ordering two accesses
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Container, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.analysis.vectorclock import VectorClock
 from repro.tracing.events import AccessEvent, Event, LockEvent
@@ -132,37 +137,12 @@ class HappensBeforeIndex:
         needed_ts: Optional[Iterable[int]] = None,
     ) -> "HappensBeforeIndex":
         """One pass over *events*; stamps are recorded for every access
-        event, or only those with a timestamp in *needed_ts* (the race
-        detector passes just its candidate accesses, which keeps the
-        index small on big traces)."""
-        wanted: Optional[Set[int]] = None if needed_ts is None else set(needed_ts)
-        stamps: Dict[int, AccessStamp] = {}
-        index: Dict[int, int] = {}
-        knowledge: Dict[int, Mapping[int, int]] = {}
-        # lock_id -> (releasing ctx, its index, its knowledge) at release.
-        releases: Dict[int, Tuple[int, int, Mapping[int, int]]] = {}
-
-        for event in events:
-            ctx = event.ctx_id
-            own = index.get(ctx, 0) + 1
-            index[ctx] = own
-            kind = event.__class__
-            if kind is LockEvent:
-                if event.is_acquire:
-                    snapshot = releases.get(event.lock_id)
-                    if snapshot is not None:
-                        _learn(knowledge, ctx, snapshot)
-                else:
-                    releases[event.lock_id] = (
-                        ctx, own, knowledge.get(ctx, _NO_KNOWLEDGE)
-                    )
-            elif kind is AccessEvent:
-                ts = event.ts
-                if wanted is None or ts in wanted:
-                    stamps[ts] = AccessStamp(
-                        ts, ctx, own, knowledge.get(ctx, _NO_KNOWLEDGE)
-                    )
-        return cls(stamps)
+        event, or only those with a timestamp in *needed_ts*."""
+        wanted = None if needed_ts is None else set(needed_ts)
+        return cls({
+            ts: AccessStamp(ts, ctx, own, knows)
+            for ts, ctx, own, knows in access_clocks(events, wanted)
+        })
 
     @property
     def stamps(self) -> Mapping[int, AccessStamp]:
@@ -177,6 +157,63 @@ class HappensBeforeIndex:
 
     def __len__(self) -> int:
         return len(self._stamps)
+
+
+class Clocks:
+    """The state of the forward happens-before pass: each context's
+    event index and knowledge, and what each lock's last release
+    published.  :func:`access_clocks` and the stream engine drive it;
+    they count events in :attr:`index` and read :attr:`knowledge`
+    themselves, once per event."""
+
+    __slots__ = ("index", "knowledge", "releases")
+
+    def __init__(self) -> None:
+        self.index: Dict[int, int] = {}
+        #: ctx -> what it knows of other contexts (never mutated in
+        #: place: a join replaces the map, so a reader may keep one).
+        self.knowledge: Dict[int, Mapping[int, int]] = {}
+        # lock_id -> (releasing ctx, its index, its knowledge) at release.
+        self.releases: Dict[int, Tuple[int, int, Mapping[int, int]]] = {}
+
+    def lock(self, event: LockEvent, own: int) -> None:
+        """An acquire learns what the lock's last releaser knew; a
+        release (the releaser's event *own*) publishes what its context
+        knows."""
+        ctx = event.ctx_id
+        if event.is_acquire:
+            snapshot = self.releases.get(event.lock_id)
+            if snapshot is not None:
+                _learn(self.knowledge, ctx, snapshot)
+        else:
+            self.releases[event.lock_id] = (
+                ctx, own, self.knowledge.get(ctx, _NO_KNOWLEDGE)
+            )
+
+
+def access_clocks(
+    events: Iterable[Event], wanted: Optional[Container[int]] = None
+) -> Iterator[Tuple[int, int, int, Mapping[int, int]]]:
+    """The forward happens-before pass over *events*.
+
+    Yields ``(ts, ctx_id, index, knows)`` for every access event, or
+    only those with a timestamp in *wanted*, as the pass reaches it:
+    the coordinates an :class:`AccessStamp` records.  A consumer that
+    judges each access on the spot keeps none of the knowledge maps.
+    """
+    clocks = Clocks()
+    index, knowledge, lock = clocks.index, clocks.knowledge, clocks.lock
+    for event in events:
+        ctx = event.ctx_id
+        own = index.get(ctx, 0) + 1
+        index[ctx] = own
+        kind = event.__class__
+        if kind is LockEvent:
+            lock(event, own)
+        elif kind is AccessEvent:
+            ts = event.ts
+            if wanted is None or ts in wanted:
+                yield ts, ctx, own, knowledge.get(ctx, _NO_KNOWLEDGE)
 
 
 def _learn(

@@ -6,10 +6,11 @@ Race detection runs in two halves.  The **trace-only half**,
 1. :func:`repro.analysis.lockset.run_lockset` yields the *candidates* —
    ``(allocation, member)`` pairs written from multiple contexts with no
    consistently held lock instance,
-2. :class:`repro.analysis.happens.HappensBeforeIndex` stamps exactly the
-   candidate accesses, and a per-context running-maxima sweep finds
-   *unordered conflicting pairs* (write/write or read/write from
-   different contexts with no happens-before path).
+2. the happens-before pass (:func:`repro.analysis.happens.access_clocks`)
+   hands each candidate access to its track's :class:`PairWalk`, a
+   per-context running-maxima sweep that finds *unordered conflicting
+   pairs* (write/write or read/write from different contexts with no
+   happens-before path).
 
 Its result, a :class:`RaceCandidates` record, holds the candidate
 tracks and one happens-before verdict per track; it does not depend on
@@ -48,9 +49,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.happens import HappensBeforeIndex
+from repro.analysis.happens import HappensBeforeIndex, access_clocks
 from repro.analysis.lockset import LocksetResult, MemberTrack, run_lockset
 from repro.core.derivator import DerivationResult
 from repro.core.lockrefs import LockSeq
@@ -248,11 +249,23 @@ class RaceCandidates:
     ) -> "RaceCandidates":
         """Judge every lockset candidate against *hb*, which must hold
         a stamp for every access of every candidate track."""
+        return cls.judged(
+            lockset,
+            [_first_unordered_pair(track, hb) for track in lockset.candidates],
+            synthetic_excluded,
+        )
+
+    @classmethod
+    def judged(
+        cls,
+        lockset: LocksetResult,
+        verdicts: List[Verdict],
+        synthetic_excluded: int = 0,
+    ) -> "RaceCandidates":
+        """The record of *lockset*'s candidates and their *verdicts*."""
         return cls(
             candidates=lockset.candidates,
-            verdicts=[
-                _first_unordered_pair(track, hb) for track in lockset.candidates
-            ],
+            verdicts=verdicts,
             tracked_members=len(lockset.tracks),
             state_counts={
                 state.value: count
@@ -311,13 +324,23 @@ def race_candidates(events: Sequence[Event], db: TraceDatabase) -> RaceCandidate
 
     *events* must be the raw event stream the *db* was imported from
     (the happens-before edges live in the lock events, which the
-    database's transaction view folds away).
+    database's transaction view folds away).  Each candidate access is
+    judged the moment the happens-before pass reaches it, so no clock
+    snapshot outlives its access.
     """
     lockset = run_lockset(db)
-    needed = {access.ts for track in lockset.candidates for access in track.accesses}
-    return RaceCandidates.build(
+    verdicts = _verdicts_in_pass(events, lockset.candidates)
+    if verdicts is None:
+        # Access timestamps do not rise along the stream (a duplicating
+        # or reordering fault): judge each row by the stamp of the last
+        # event at its timestamp, as the stamp index always has.
+        hb = HappensBeforeIndex.build(
+            events, [row.ts for track in lockset.candidates for row in track.accesses]
+        )
+        verdicts = [_first_unordered_pair(track, hb) for track in lockset.candidates]
+    return RaceCandidates.judged(
         lockset,
-        HappensBeforeIndex.build(events, needed),
+        verdicts,
         synthetic_excluded=sum(
             1
             for a in db.accesses
@@ -357,43 +380,99 @@ def classify_candidates(
 # ----------------------------------------------------------------------
 
 
-def _first_unordered_pair(track: MemberTrack, hb: HappensBeforeIndex) -> Verdict:
-    """Find unordered conflicting pairs in one candidate group.
+class PairWalk:
+    """The search for unordered conflicting pairs in one candidate
+    track, one access at a time in trace order.
 
-    Walks the group in trace order keeping, per context, the latest
-    access and the latest write.  Program order and transitivity make
-    the latest conflicting access per context a sufficient witness: if
-    it happens-before the current access, every earlier one does too.
-    Returns the first pair found (as row positions) plus the number of
-    detections.
-
-    The test is :func:`~repro.analysis.happens.happens_before` read
-    inline: an earlier access of context ``c`` at index ``i`` is ordered
-    before the current one iff the current stamp knows ``c`` up to
-    ``i``, so each context keeps only ``(index, position)``.
+    Keeps, per context, the latest access and the latest write.
+    Program order and transitivity make the latest conflicting access
+    per context a sufficient witness: if it happens-before the current
+    access, every earlier one does too.  The test is
+    :func:`~repro.analysis.happens.happens_before` read inline: an
+    earlier access of context ``c`` at index ``i`` is ordered before
+    the current one iff the current access knows ``c`` up to ``i``, so
+    each context keeps only ``(index, position)`` and no clock.
     """
-    stamps = hb.stamps
-    last_any: Dict[int, Tuple[int, int]] = {}
-    last_write: Dict[int, Tuple[int, int]] = {}
-    first: Optional[Tuple[int, int]] = None
-    pairs = 0
-    for position, row in enumerate(track.accesses):
-        stamp = stamps[row.ts]
+
+    __slots__ = ("rows", "position", "_last_any", "_last_write", "_first", "_pairs")
+
+    def __init__(self, rows: Sequence[AccessRow]) -> None:
+        self.rows = rows
+        #: How many rows have been judged.
+        self.position = 0
+        self._last_any: Dict[int, Tuple[int, int]] = {}
+        self._last_write: Dict[int, Tuple[int, int]] = {}
+        self._first: Optional[Tuple[int, int]] = None
+        self._pairs = 0
+
+    def step(self, index: int, knows: Mapping[int, int]) -> None:
+        """Judge the next row, made as its context's event *index*
+        knowing *knows* of the other contexts."""
+        position = self.position
+        self.position = position + 1
+        row = self.rows[position]
         ctx_id = row.ctx_id
-        knows = stamp.knows
         is_write = row.access_type == "w"
-        for ctx, (index, other_position) in (
-            last_any if is_write else last_write
+        for ctx, (other_index, other_position) in (
+            self._last_any if is_write else self._last_write
         ).items():
-            if ctx != ctx_id and knows.get(ctx, 0) < index:
-                pairs += 1
-                if first is None:
-                    first = (other_position, position)
-        latest = (stamp.index, position)
-        last_any[ctx_id] = latest
+            if ctx != ctx_id and knows.get(ctx, 0) < other_index:
+                self._pairs += 1
+                if self._first is None:
+                    self._first = (other_position, position)
+        latest = (index, position)
+        self._last_any[ctx_id] = latest
         if is_write:
-            last_write[ctx_id] = latest
-    return first, pairs
+            self._last_write[ctx_id] = latest
+
+    def verdict(self) -> Verdict:
+        """The first pair found (as row positions) and the number of
+        detections, over the rows stepped so far."""
+        return self._first, self._pairs
+
+
+def _verdicts_in_pass(
+    events: Sequence[Event], candidates: List[MemberTrack]
+) -> Optional[List[Verdict]]:
+    """Each candidate's verdict, its rows judged as the happens-before
+    pass reaches them.
+
+    Only each track's next row waits, keyed by its timestamp, so the
+    pass holds one entry per track.  That finds every row's event when
+    access timestamps rise strictly along the stream, as they do in
+    every recorded trace; on a stream where they do not (a duplicating
+    or reordering fault) this returns None.
+    """
+    waiting: Dict[int, PairWalk] = {}
+    for track in candidates:
+        waiting[track.accesses[0].ts] = PairWalk(track.accesses)
+    walks = list(waiting.values())
+    if len(walks) != len(candidates):  # two tracks start at one timestamp
+        return None
+    last = -1
+    next_row = waiting.pop
+    for ts, _, index, knows in access_clocks(events):
+        if ts <= last:
+            return None
+        last = ts
+        walk = next_row(ts, None)
+        if walk is not None:
+            walk.step(index, knows)
+            if walk.position < len(walk.rows):
+                waiting[walk.rows[walk.position].ts] = walk
+    if any(walk.position != len(walk.rows) for walk in walks):
+        return None
+    return [walk.verdict() for walk in walks]
+
+
+def _first_unordered_pair(track: MemberTrack, hb: HappensBeforeIndex) -> Verdict:
+    """The :class:`PairWalk` verdict of one track over *hb*'s stamps."""
+    walk = PairWalk(track.accesses)
+    stamps = hb.stamps
+    for row in track.accesses:
+        stamp = stamps[row.ts]
+        walk.step(stamp.index, stamp.knows)
+    return walk.verdict()
 
 
 def _track_rules(

@@ -78,6 +78,9 @@ def fold_accesses(
     for group in groups.values():
         first = group[0]
         type_key = first.type_key if split_subclasses else first.data_type
+        if len(group) == 1:  # most groups: one access, one observation
+            yield (type_key, first.member, first.access_type), first.lockseq, group
+            continue
         writes = [r for r in group if r.access_type == WRITE]
         if write_over_read:
             access_type = WRITE if writes else READ
@@ -123,8 +126,11 @@ class ObservationTable:
         split_subclasses: bool = True,
         write_over_read: bool = True,
     ) -> "ObservationTable":
+        """Fold the kept rows of *db* one transaction at a time, so no
+        more than one transaction's groups are ever held at once."""
         table = cls(split_subclasses, write_over_read)
-        table.add_accesses(db.kept_accesses())
+        for rows in db.kept_accesses_by_txn():
+            table._fold(rows, 0)
         table.synthetic_excluded = sum(
             1
             for a in db.accesses
@@ -168,11 +174,14 @@ class ObservationTable:
         Rows added by a later call count as later in trace order than
         every access folded before (their ids are per trace).
         """
-        offset = 1 + max(
+        self._fold(rows, 1 + max(
             (group.first.position for groups in self._groups.values()
              for group in groups.values()),
             default=-1,
-        )
+        ))
+
+    def _fold(self, rows: Iterable[AccessRow], offset: int) -> None:
+        """Fold *rows* in, their access ids shifted by *offset*."""
         for key, lockseq, group in fold_accesses(
             rows, self.split_subclasses, self.write_over_read
         ):

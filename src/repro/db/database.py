@@ -341,6 +341,11 @@ class TraceDatabase:
             return [a for a in self.accesses if a.kept]
         return list(self._accesses_by_type.get(type_key, ()))
 
+    def kept_accesses_by_txn(self) -> Iterable[Sequence[AccessRow]]:
+        """The kept accesses of each transaction, in table order (the
+        database's own index lists, not copies: do not mutate them)."""
+        return self._accesses_by_txn.values()
+
     def accesses_in_txn(self, txn_id: Optional[int]) -> List[AccessRow]:
         return list(self._accesses_by_txn.get(txn_id, ()))
 

@@ -9,7 +9,7 @@ refer to all held *locks* in locking order; each access carries a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from operator import attrgetter
 from typing import Optional, Tuple
 
@@ -26,6 +26,24 @@ def _pickled_by_fields(cls):
         return cls, values(self)
 
     cls.__reduce__ = __reduce__
+    return cls
+
+
+def _frozen(cls):
+    """Make every attribute set or delete on a frozen slotted row raise
+    :class:`~dataclasses.FrozenInstanceError`.  The generated methods
+    raise it only for fields: on Python 3.11 they call ``super()`` with
+    the class ``slots=True`` replaced, so any other name raised
+    ``TypeError``."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
     return cls
 
 
@@ -53,6 +71,7 @@ class AllocationRow:
         return self.data_type
 
 
+@_frozen
 @_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class LockRow:
@@ -73,6 +92,7 @@ class LockRow:
     owner_member: Optional[str] = None
 
 
+@_frozen
 @_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class HeldLock:
@@ -82,6 +102,7 @@ class HeldLock:
     mode: str  # "r" or "w"
 
 
+@_frozen
 @_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class TxnRow:

@@ -28,18 +28,32 @@ Every request terminates in a correct result or a clean, classified
 error — never a hang, a traceback, or a silently-wrong artifact.
 """
 
-from repro.serve.client import DaemonUnreachable, RemoteClient, RemoteError
-from repro.serve.protocol import ERROR_KINDS, Request, Response, request_key
-from repro.serve.server import ServerConfig, serve_forever
+import importlib
+from typing import Any
 
-__all__ = [
-    "DaemonUnreachable",
-    "RemoteClient",
-    "RemoteError",
-    "ERROR_KINDS",
-    "Request",
-    "Response",
-    "request_key",
-    "ServerConfig",
-    "serve_forever",
-]
+#: Public name -> defining submodule.  The names resolve on first use
+#: (PEP 562), so ``import repro.serve.ops`` or ``import
+#: repro.serve.client`` loads neither asyncio nor the server stack:
+#: only the daemon and the ``serve`` command pay for it.
+_EXPORTS = {
+    "DaemonUnreachable": "client",
+    "RemoteClient": "client",
+    "RemoteError": "client",
+    "ERROR_KINDS": "protocol",
+    "Request": "protocol",
+    "Response": "protocol",
+    "request_key": "protocol",
+    "ServerConfig": "server",
+    "serve_forever": "server",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -1,7 +1,10 @@
 """Complexity gate: the happens-before build against a doubled trace.
 
 :meth:`HappensBeforeIndex.build` stamps the race candidates' accesses of
-a mix trace at scale 2 and at scale 4 (367 and 754 contexts).  A join
+a mix trace at scale 2 and at scale 4 (367 and 754 contexts).  It runs
+the forward loop (:func:`~repro.analysis.happens.access_clocks`) that
+``race_candidates`` judges its candidates in, so it times the joins
+the batch path runs.  A join
 copies the acquirer's whole knowledge map, which grows with the number
 of contexts, so the build reads about 3.3x per doubling, not the 2.4x
 of :func:`tests.doubling.assert_doubling`.  The gate is an expected

@@ -10,6 +10,11 @@ locations and the earliest access — and on ``total`` and
 only (its equivalence contract); memory and SQLite must also agree on
 a damaged trace imported leniently.  Damage seeds come from
 ``FAULT_SEEDS`` (default ``0``).
+
+``from_database`` folds one transaction at a time; on clean and
+damaged traces it must fill the table that one ``add_accesses`` call
+over every kept row fills, with and without subclass splitting and
+write-over-read.
 """
 
 from __future__ import annotations
@@ -20,16 +25,12 @@ import pytest
 
 import repro.kernel  # noqa: F401  (kernel-first import convention)
 from repro.core.observations import ObservationTable
-from repro.db.importer import LENIENT_POLICY, Importer
 from repro.db.sqlstore import SqliteTraceStore, build_store
-from repro.faults import FaultPlan
 from repro.stream import run_streamed
-from repro.tracing.serialize import stacks_of
-from repro.workloads import registry
+from tests.traces import imported_trace
 
 SCALE = 1.0
 CLEAN = ("mix", "netmix", "racer")
-DAMAGE = "drop:0.02,drop-releases:0.05"
 SEEDS = [int(s) for s in os.environ.get("FAULT_SEEDS", "0").split(",") if s]
 
 
@@ -44,17 +45,13 @@ def _state(table: ObservationTable):
 
 def _folds(tmp_path, workload: str, damage_seed=None):
     """``(db, store)`` of one trace, damaged under *damage_seed*."""
-    tracer = registry.resolve(workload)(0, SCALE).tracer
-    structs, filters = registry.database_inputs(registry.db_recipe(workload))
-    events, stacks = list(tracer.events), stacks_of(tracer)
-    policy = None
-    if damage_seed is not None:
-        events = FaultPlan.from_spec(DAMAGE, seed=damage_seed).apply_events(events)
-        policy = LENIENT_POLICY
-    db = Importer(structs, filters, policy).run(events, stacks)
+    trace = imported_trace(workload, SCALE, damage_seed)
     path = str(tmp_path / f"{workload}.sqlite")
-    build_store(path, events, stacks, structs, filters, policy)
-    return db, SqliteTraceStore(path)
+    build_store(
+        path, trace.events, trace.stacks, trace.structs, trace.filters,
+        trace.policy,
+    )
+    return trace.db, SqliteTraceStore(path)
 
 
 @pytest.fixture(scope="module", params=CLEAN)
@@ -90,3 +87,25 @@ def test_damaged_trace_folds_alike(tmp_path, seed, split):
         assert _state(table) == _state(ObservationTable.from_database(db, split))
     finally:
         store.close()
+
+
+@pytest.fixture(
+    scope="module",
+    params=(("mix", 1.0, None), ("racer", 20.0, None), ("mix", 1.0, 1)),
+    ids=("mix", "racer", "mix-damaged"),
+)
+def batch_db(request):
+    return imported_trace(*request.param).db
+
+
+@pytest.mark.parametrize("write_over_read", (True, False), ids=("wor", "split-rw"))
+@pytest.mark.parametrize("split", (True, False), ids=("split", "merged"))
+def test_per_transaction_fold_fills_the_whole_table_fold(
+    batch_db, split, write_over_read
+):
+    table = ObservationTable.from_database(batch_db, split, write_over_read)
+    whole = ObservationTable(split, write_over_read)
+    whole.add_accesses(batch_db.kept_accesses())
+    assert table.total
+    # add_accesses leaves synthetic_excluded (a database count) at 0.
+    assert _state(table)[::2] == _state(whole)[::2]
