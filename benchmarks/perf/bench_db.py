@@ -7,8 +7,8 @@ Gates the promotion of SQLite to a first-class query backend
   from the SQLite backend must be byte-identical to the in-memory
   backend on the mix workload, the racer workload, and a
   fault-corrupted (2% event drops) mix trace.
-* **memory** — peak traced-allocation bytes (the same peak-RSS proxy
-  :mod:`tracemalloc` gives bench_trace) of the full SQLite derive path
+* **memory** — peak traced-allocation bytes (a peak-RSS proxy via
+  :mod:`tracemalloc`) of the full SQLite derive path
   — store build + one-scan fold + ``Derivator.derive`` — at
   ``--scale-factor``× the base scale must stay *below* the in-memory
   path's peak at the base scale: resident memory must not grow

@@ -1,7 +1,7 @@
 """Aggregate every committed ``BENCH_*.json`` into one trajectory table.
 
 Each perf benchmark writes its own gated JSON report at the repo root
-(``BENCH_trace.json``, ``BENCH_db.json``, ...).  They accumulate one
+(``BENCH_derive.json``, ``BENCH_db.json``, ...).  They accumulate one
 per optimisation PR, which makes the *trajectory* — what got faster,
 by how much, and whether its correctness gates still hold — hard to
 read without opening six files.  This tool renders them as one table::
@@ -41,14 +41,6 @@ def _x(value: Optional[float]) -> str:
 # must not take the whole table down.
 
 
-def _headline_trace(d: Dict) -> str:
-    gen, cache = d.get("generation", {}), d.get("cache", {})
-    return (
-        f"tracer {_x(gen.get('speedup'))} vs legacy; "
-        f"warm derive {_pct(cache.get('warm_fraction'))} of cold"
-    )
-
-
 def _headline_derive(d: Dict) -> str:
     mix = d.get("workloads", {}).get("mix", {})
     return (
@@ -68,8 +60,9 @@ def _headline_static(d: Dict) -> str:
 def _headline_serve(d: Dict) -> str:
     lat, chaos = d.get("latency", {}), d.get("chaos", {})
     return (
-        f"warm request {lat.get('local_warm_s', '?')}s vs cold "
-        f"{lat.get('cold_s', '?')}s; chaos survival "
+        f"daemon warm p50 {lat.get('warm_p50_s', '?')}s vs one-shot fork "
+        f"{lat.get('local_warm_s', '?')}s, cold {lat.get('cold_s', '?')}s; "
+        f"chaos survival "
         f"{_pct(chaos.get('survival'))}"
     )
 
@@ -90,22 +83,12 @@ def _headline_net(d: Dict) -> str:
     )
 
 
-def _headline_stream(d: Dict) -> str:
-    thr, mem = d.get("throughput", {}), d.get("memory", {})
-    return (
-        f"fused pass {_x(thr.get('speedup'))} vs post-mortem, peak "
-        f"{_pct(mem.get('peak_fraction'))} of post-mortem"
-    )
-
-
 _HEADLINES: Dict[str, Callable[[Dict], str]] = {
-    "BENCH_trace": _headline_trace,
     "BENCH_derive": _headline_derive,
     "BENCH_static": _headline_static,
     "BENCH_serve": _headline_serve,
     "BENCH_db": _headline_db,
     "BENCH_net": _headline_net,
-    "BENCH_stream": _headline_stream,
 }
 
 

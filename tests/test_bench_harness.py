@@ -1,6 +1,7 @@
 """Smoke tests for the perf-benchmark harness (benchmarks/perf)."""
 
 import json
+from pathlib import Path
 
 from benchmarks.perf.baseline import derive_serial_baseline
 from benchmarks.perf.bench_derive import bench_workload, main
@@ -77,3 +78,11 @@ def test_bench_fuzz_fails_on_unreachable_growth_floor(tmp_path):
         "--out", str(out),
     ])
     assert code == 1
+
+
+def test_bench_report_passes_on_the_committed_reports(capsys):
+    from benchmarks.perf.bench_report import main as report_main
+
+    root = Path(__file__).resolve().parent.parent
+    assert report_main(["--root", str(root)]) == 0
+    assert "FAIL" not in capsys.readouterr().out

@@ -437,13 +437,13 @@ def test_an_analysis_source_edit_misses_stored_race_candidates(
     assert cache.load_artifact("mix", 0, SCALE, "race-candidates") is None
 
 
-def test_warm_races_loads_the_candidates_not_the_trace_or_db(
-    cache_dir, monkeypatch
-):
+def _warm_artifacts(op, monkeypatch):
+    """Names of the artifacts a warm *op* loads; it must print what the
+    cold *op* printed and never decode the trace."""
     from repro.serve import ops
 
     params = {"workload": "mix", "seed": 0, "scale": SCALE}
-    cold = ops.execute("races", params)["text"]
+    cold = ops.execute(op, params)["text"]
     common.clear_cache()
     loaded = []
     load = cache.load_artifact
@@ -453,13 +453,26 @@ def test_warm_races_loads_the_candidates_not_the_trace_or_db(
         return load(workload, seed, scale, name)
 
     def no_decode(run):
-        raise AssertionError("a warm races decoded the trace")
+        raise AssertionError(f"a warm {op} decoded the trace")
 
     monkeypatch.setattr(cache, "load_artifact", recording)
     monkeypatch.setattr(cache.CachedRun, "tracer", property(no_decode))
-    assert ops.execute("races", params)["text"] == cold
+    assert ops.execute(op, params)["text"] == cold
+    return loaded
+
+
+def test_warm_races_loads_the_candidates_not_the_trace_or_db(
+    cache_dir, monkeypatch
+):
+    loaded = _warm_artifacts("races", monkeypatch)
     assert isinstance(common.get_pipeline(0, SCALE).mix, cache.CachedRun)
     assert sorted(loaded) == ["derivation-t0.9", "race-candidates"]
+
+
+def test_warm_derive_loads_the_derivation_not_the_trace_or_db(
+    cache_dir, monkeypatch
+):
+    assert _warm_artifacts("derive", monkeypatch) == ["derivation-t0.9"]
 
 
 @pytest.mark.parametrize("state", ("present", "absent", "corrupt"))
