@@ -103,6 +103,8 @@ class ObservationTable:
     #: and never pickled.  A class default, so pickles that predate it
     #: load.
     _type_keys: Optional[List[str]] = None
+    #: Memo of :meth:`base_keys` by data type, kept like ``_type_keys``.
+    _base_keys: Optional[Dict[str, List[str]]] = None
 
     def __init__(self, split_subclasses: bool = True, write_over_read: bool = True):
         self.split_subclasses = split_subclasses
@@ -154,7 +156,7 @@ class ObservationTable:
         groups = self._groups.get(key)
         if groups is None:
             groups = self._groups[key] = {}
-            self._type_keys = None
+            self._type_keys = self._base_keys = None
         group = groups.get(lockseq)
         if group is None:
             group = groups[lockseq] = FoldGroup(Sample(*first))
@@ -198,6 +200,7 @@ class ObservationTable:
         state = dict(self.__dict__)
         state["_sorted_seqs"] = {}
         state.pop("_type_keys", None)
+        state.pop("_base_keys", None)
         return state
 
     # ------------------------------------------------------------------
@@ -255,12 +258,20 @@ class ObservationTable:
     # helpers merge all subclass keys of a base data type.
 
     def base_keys(self, data_type: str) -> List[str]:
-        prefix = data_type + ":"
-        return [
-            tk
-            for tk in self.type_keys()
-            if tk == data_type or tk.startswith(prefix)
-        ]
+        """The sorted type keys of *data_type* and its subclasses.  The
+        returned list is cached and shared — callers must not mutate
+        it."""
+        if self._base_keys is None:
+            self._base_keys = {}
+        cached = self._base_keys.get(data_type)
+        if cached is None:
+            prefix = data_type + ":"
+            cached = self._base_keys[data_type] = [
+                tk
+                for tk in self.type_keys()
+                if tk == data_type or tk.startswith(prefix)
+            ]
+        return cached
 
     def merged_sequences(
         self, data_type: str, member: str, access_type: str

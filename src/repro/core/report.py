@@ -7,6 +7,7 @@ conversion for programmatic consumers.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 
@@ -16,22 +17,20 @@ def render_table(
     title: str = "",
 ) -> str:
     """Render a fixed-width text table."""
-    materialized: List[List[str]] = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in materialized:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
+    cells = [[str(cell) for cell in row] for row in rows]
+    # A cell missing from a short row counts as empty.
+    widths = [
+        max(map(len, column))
+        for column in zip_longest(headers, *cells, fillvalue="")
+    ]
 
     def fmt(row: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        return "  ".join(map(str.ljust, row, widths)).rstrip()
 
-    lines = []
-    if title:
-        lines.append(title)
+    lines = [title] if title else []
     lines.append(fmt(headers))
     lines.append("  ".join("-" * w for w in widths))
-    for row in materialized:
-        lines.append(fmt(row))
+    lines.extend(map(fmt, cells))
     return "\n".join(lines)
 
 

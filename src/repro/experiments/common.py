@@ -17,7 +17,9 @@ are cached at two levels:
 
 A reused analysis-daemon worker adds a third, **resident** level
 (:func:`keep_resident`): between requests it keeps the artifacts its
-replies read, within a bound, instead of unpickling them again.
+replies read, within a bound, instead of unpickling them again, and
+the last reply to each operation (:func:`keep_reply`), so a repeated
+request is answered without rendering it again.
 
 Pipeline artifacts are **lazy**: ``db``/``db_stats``/``table``/
 ``merged_table``/``race_candidates`` compute on first access — from a
@@ -30,7 +32,9 @@ much larger database or decodes the trace.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
 from repro import cache
 from repro.core.derivator import DerivationResult, Derivator
@@ -55,7 +59,8 @@ BACKENDS = ("memory", "sqlite")
 DEFAULT_BACKEND = "memory"
 
 #: How many ``(workload, seed, scale)`` keys :func:`keep_resident`
-#: holds; the least recently used key goes first.
+#: holds, with their kept replies; the least recently used key goes
+#: first.
 RESIDENT_KEYS = 4
 
 
@@ -100,6 +105,9 @@ class Pipeline:
         self._store = None
         self._store_tmp = None
         self._computed = False
+        #: Replies kept by :func:`keep_reply`, by operation: the
+        #: canonical params and the result of the latest one.
+        self._replies: Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]] = {}
 
     def _artifact(self, name: str, compute):
         """Disk-cached artifact: memo, else load if present, else
@@ -356,3 +364,34 @@ def keep_resident(
         evicted, _ = _RESIDENT.popitem(last=False)
         _CACHE.pop(evicted, None)
     return [name for name in artifacts if name in kept and name not in held]
+
+
+def resident_reply(
+    workload: str, seed: int, scale: float, op: str, params: Dict[str, Any]
+) -> Optional[Dict[str, Any]]:
+    """The reply :func:`keep_reply` kept for *op* with exactly *params*
+    on a resident key, or None.  The dict is the kept one: copy it
+    before handing it out."""
+    key = (workload, seed, scale)
+    pipeline = _CACHE.get(key) if key in _RESIDENT else None
+    held = pipeline._replies.get(op) if pipeline is not None else None
+    return held[1] if held is not None and held[0] == params else None
+
+
+def keep_reply(
+    workload: str, seed: int, scale: float, op: str,
+    params: Dict[str, Any], result: Dict[str, Any],
+) -> None:
+    """Keep *result* as the reply to *op* with *params* on the key's
+    resident pipeline, in place of the op's previous reply; a key that
+    is not resident keeps nothing.
+
+    Every reply is a pure function of the key's content-addressed
+    artifacts and the canonical params, so a kept reply equals a fresh
+    one.  It leaves with its key: past :data:`RESIDENT_KEYS`, when the
+    key's trace leaves the disk cache, and on :func:`clear_cache`.
+    """
+    key = (workload, seed, scale)
+    pipeline = _CACHE.get(key) if key in _RESIDENT else None
+    if pipeline is not None:
+        pipeline._replies[op] = (dict(params), dict(result))

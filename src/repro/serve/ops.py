@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import importlib
 import os
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro import cache
 from repro.core.selection import DEFAULT_ACCEPT_THRESHOLD
@@ -325,8 +325,20 @@ _RUNNERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
 
 
 def execute(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one validated operation; returns the JSON-able result."""
+    """Run one validated operation; returns the JSON-able result.
+
+    In a reused daemon worker, a request it already answered for a
+    resident key gets a copy of the kept reply (:func:`keep_warm`)
+    instead of a fresh render; elsewhere nothing is ever kept.
+    """
     canonical = validate(op, params)
+    if _resident_reads(op, canonical):
+        kept = experiments_common.resident_reply(
+            canonical["workload"], canonical["seed"], canonical["scale"],
+            op, canonical,
+        )
+        if kept is not None:
+            return dict(kept)
     return _RUNNERS[op](canonical)
 
 
@@ -395,20 +407,45 @@ _READS: Dict[str, Callable[[Dict[str, Any]], Tuple[str, ...]]] = {
 }
 
 
-def keep_warm(op: str, params: Dict[str, Any]) -> Optional[Tuple[str, ...]]:
-    """In a reused daemon worker, after *op* answered ``ok``: None when
-    the request did more than read cached artifacts (the worker then
-    exits); otherwise keep the key's pipeline with only the artifacts
-    ``_READS`` names, within the resident bound
-    (:func:`repro.experiments.common.keep_resident`), and return the
-    names newly resident."""
+def _resident_reads(op: str, params: Dict[str, Any]) -> Tuple[str, ...]:
+    """The artifacts *op* reads once its key is resident; empty when the
+    request reads more than artifacts (``health``, the sqlite backend,
+    live ``racer`` races), so it is never kept."""
     reads = _READS.get(op)
     if reads is None or params["backend"] != "memory":
-        return None
-    artifacts = reads(params)
+        return ()
+    return reads(params)
+
+
+class Kept(NamedTuple):
+    """What a reused worker keeps after one reply (:func:`keep_warm`)."""
+
+    #: The artifact names newly resident.
+    artifacts: Tuple[str, ...]
+    #: The reply was the key's kept one, not a fresh render.
+    memo: bool
+
+
+def keep_warm(
+    op: str, params: Dict[str, Any], result: Dict[str, Any]
+) -> Optional[Kept]:
+    """In a reused daemon worker, after *op* answered ``ok`` with
+    *result*: None when the request did more than read cached artifacts
+    (the worker then exits); otherwise keep the key's pipeline with only
+    the artifacts ``_READS`` names, within the resident bound
+    (:func:`repro.experiments.common.keep_resident`), and *result* as
+    the key's reply to *op* (:func:`repro.experiments.common.keep_reply`).
+    """
+    artifacts = _resident_reads(op, params)
     if not artifacts:
         return None
-    kept = experiments_common.keep_resident(
-        params["workload"], params["seed"], params["scale"], artifacts
-    )
-    return None if kept is None else tuple(kept)
+    key = (params["workload"], params["seed"], params["scale"])
+    # Nothing ran between execute's lookup and this one, so a reply
+    # kept for these params is the one execute handed out.
+    memo = experiments_common.resident_reply(*key, op, params) is not None
+    kept = experiments_common.keep_resident(*key, artifacts)
+    if kept is None:
+        return None
+    if not memo:
+        experiments_common.keep_reply(*key, op, params, result)
+    return Kept(tuple(kept), memo)

@@ -15,10 +15,11 @@ processes, each taking **one request at a time** over its own pipe:
   so a reused worker pays no copy-on-write page faults again;
 * a worker stays alive only while it answers from cache artifacts
   alone: after each such reply it trims its pipelines to the resident
-  bound (:func:`repro.serve.ops.keep_warm`).  After a request that
-  computed anything, or ended other than ``ok``, it exits, and the
-  pool forks a fresh worker in its place — a cold import never stays
-  resident;
+  bound and keeps the reply, so the same request again is answered
+  without a render (:func:`repro.serve.ops.keep_warm`).  After a
+  request that computed anything, or ended other than ``ok``, it
+  exits, and the pool forks a fresh worker in its place — a cold
+  import never stays resident;
 * pipe EOF without a result classifies as ``WORKER_CRASH``;
 * ``kill()`` (SIGKILL) implements deadline cancellation — the paper
   pipeline is pure (cache writes are atomic), so killing a worker at
@@ -68,6 +69,8 @@ class TaskOutcome:
     stays: bool = False
     #: The artifacts that reply made resident in the worker.
     resident: Tuple[str, ...] = ()
+    #: The reply was one the worker kept, not a fresh render.
+    memo: bool = False
 
     def as_error(self) -> Tuple[str, str]:
         """(kind, message) for the envelope, for non-ok outcomes."""
@@ -114,9 +117,9 @@ def _detach(keep: Tuple[int, ...]) -> None:
 
 
 def _compute(op: str, params: Dict[str, Any], chaos: Optional[ChaosPlan],
-             attempt: int) -> Tuple[str, Dict[str, Any], Optional[Tuple[str, ...]]]:
-    """One request: ``(status, payload, resident)``; *resident* is None
-    when the worker must exit after replying."""
+             attempt: int) -> Tuple[str, Dict[str, Any], Optional[ops.Kept]]:
+    """One request: ``(status, payload, kept)``; *kept* is None when
+    the worker must exit after replying."""
     try:
         if chaos is not None:
             chaos.inject(request_key(op, params), attempt)
@@ -132,10 +135,10 @@ def _compute(op: str, params: Dict[str, Any], chaos: Optional[ChaosPlan],
             None,
         )
     try:
-        resident = ops.keep_warm(op, ops.validate(op, params))
+        kept = ops.keep_warm(op, ops.validate(op, params), result)
     except Exception:  # noqa: BLE001 - when in doubt, retire
-        resident = None
-    return "ok", result, resident
+        kept = None
+    return "ok", result, kept
 
 
 def _serve(requests, replies) -> None:
@@ -145,12 +148,12 @@ def _serve(requests, replies) -> None:
             op, params, chaos, attempt = requests.recv()
         except (EOFError, OSError):
             return
-        status, payload, resident = _compute(op, params, chaos, attempt)
+        status, payload, kept = _compute(op, params, chaos, attempt)
         try:
-            replies.send((status, payload, resident))
+            replies.send((status, payload, kept))
         except OSError:
             return
-        if resident is None:
+        if kept is None:
             return
 
 
@@ -202,7 +205,7 @@ class Worker:
         EOF)."""
         elapsed = time.monotonic() - self.started_at
         try:
-            status, payload, resident = self._replies.recv()
+            status, payload, kept = self._replies.recv()
         except (EOFError, OSError):
             self.close(timeout=5.0)
             return TaskOutcome(
@@ -214,8 +217,9 @@ class Worker:
                 status="ok",
                 result=payload,
                 elapsed=elapsed,
-                stays=resident is not None,
-                resident=tuple(resident or ()),
+                stays=kept is not None,
+                resident=kept.artifacts if kept is not None else (),
+                memo=kept is not None and kept.memo,
             )
         return TaskOutcome(
             status="error",
@@ -323,6 +327,8 @@ class WorkerPool:
         self.spawned = 0
         #: Requests handed to a worker that had answered one before.
         self.reused = 0
+        #: Replies a worker answered with one it kept.
+        self.memo_replies = 0
 
     def fill(self) -> None:
         """Fork workers until the pool is at its size again; fresh ones
@@ -364,6 +370,8 @@ class WorkerPool:
         if worker not in self._busy:  # retired by close()
             return "shutdown"
         self._busy.remove(worker)
+        if outcome.memo:
+            self.memo_replies += 1
         reason = outcome.retire_reason()
         if reason is None and not self._closed:
             self._idle.append(worker)

@@ -25,12 +25,15 @@ every robustness mechanism of the envelope:
   (:func:`repro.serve.ops.warm`), then forks ``workers`` long-lived
   workers (:class:`repro.serve.pool.WorkerPool`).  A request goes to
   the most recently used idle worker, which keeps the artifacts its
-  replies read; a worker that computed anything, failed, crashed or
-  missed its deadline is retired and replaced by a fresh fork;
+  replies read and its last reply to each operation, so it answers a
+  repeated request without rendering it again; a worker that computed
+  anything, failed, crashed or missed its deadline is retired and
+  replaced by a fresh fork;
 * **observability** — every event lands in the JSON-lines structured
   log (each retirement is one ``worker_retired`` event with its
-  reason); ``status`` reports live counters, workers spawned apart
-  from requests a reused worker served.
+  reason; a ``reply`` answered with a kept reply is marked ``memo``);
+  ``status`` reports live counters, workers spawned apart from
+  requests a reused worker served and replies it had kept.
 
 The handler never lets an exception escape to the transport: anything
 unexpected is logged and classified ``INTERNAL``.
@@ -81,9 +84,9 @@ class ServerConfig:
     #: Per-client token bucket: sustained requests/s and burst size.
     #: A client that works between requests (the end-to-end
     #: benchmark's, ~30 requests/s) never meets the default.  One that
-    #: sends ``stats`` back to back gets ~1 ms replies from a reused
-    #: worker, ~1,100 requests/s, and is held to the rate past its
-    #: burst.
+    #: sends ``stats`` back to back gets ~1.2 ms replies from a reused
+    #: worker, ~800 requests/s on a 2-core host, and is held to the
+    #: rate past its burst.
     bucket_rate: float = 200.0
     bucket_burst: float = 400.0
     #: Deadline applied when the client sends none.
@@ -281,6 +284,7 @@ class AnalysisServer:
             kind=response.error_kind,
             latency_ms=latency_ms,
             coalesced=bool(response.meta.get("coalesced")),
+            memo=bool(response.meta.get("memo")),
             attempts=response.meta.get("attempts"),
         )
         return response
@@ -407,6 +411,7 @@ class AnalysisServer:
                 request.request_id,
                 outcome.result or {},
                 coalesced=coalesced,
+                memo=outcome.memo,
                 attempts=attempts,
                 compute_ms=round(outcome.elapsed * 1000, 3),
             )
@@ -528,6 +533,7 @@ class AnalysisServer:
                 **self.counters,
                 "workers_spawned": self._pool.spawned,
                 "reused_worker_requests": self._pool.reused,
+                "memo_replies": self._pool.memo_replies,
             },
             "errors": dict(self.error_counts),
             "chaos": self.config.chaos_spec or None,

@@ -150,3 +150,27 @@ def test_type_keys_memo_stays_out_of_pickles():
     # A pickle without the memo (every pickle, and those written
     # before it existed) loads and answers.
     assert pickle.loads(before).type_keys() == ["pair"]
+
+
+def test_base_keys_memo_drops_only_on_a_new_target():
+    table = ObservationTable()
+    _add(table, ("pair:ext4", "a", "w"))
+    _add(table, ("pairing", "a", "w"))
+    keys = table.base_keys("pair")
+    assert keys == ["pair:ext4"] and table.base_keys("pair") is keys
+    _add(table, ("pair:ext4", "a", "w"), ("lock_a",))  # known target
+    assert table.base_keys("pair") is keys
+    _add(table, ("pair", "b", "r"))
+    assert table.base_keys("pair") == ["pair", "pair:ext4"]
+    assert table.base_keys("pairing") == ["pairing"]
+
+
+def test_base_keys_memo_stays_out_of_pickles():
+    import pickle
+
+    table = ObservationTable()
+    _add(table, ("pair:ext4", "a", "w"))
+    before = pickle.dumps(table)
+    table.base_keys("pair")
+    assert pickle.dumps(table) == before
+    assert pickle.loads(before).base_keys("pair") == ["pair:ext4"]

@@ -40,16 +40,18 @@ def _seconds(stage: Callable[[Input], object], data: Input) -> float:
 
 
 def assert_doubling(
-    stage: Callable[[Input], object], small: Input, large: Input, what: str
+    stage: Callable[[Input], object], small: Input, large: Input, what: str,
+    pairs: int = PAIRS,
 ) -> float:
     """Assert that ``stage(large)`` takes at most
     :data:`MAX_DOUBLING_RATIO` times as long as ``stage(small)``, where
-    *large* is twice *small*; returns the median ratio."""
-    pairs = [(_seconds(stage, small), _seconds(stage, large)) for _ in range(PAIRS)]
-    ratio = statistics.median(large_s / small_s for small_s, large_s in pairs)
+    *large* is twice *small*, over *pairs* (small, large) pairs;
+    returns the median ratio."""
+    timed = [(_seconds(stage, small), _seconds(stage, large)) for _ in range(pairs)]
+    ratio = statistics.median(large_s / small_s for small_s, large_s in timed)
     assert ratio <= MAX_DOUBLING_RATIO, (
         f"{what} took {ratio:.2f}x as long on twice the input; (small, large) "
         "seconds per pair: "
-        + ", ".join(f"({small_s:.3f}, {large_s:.3f})" for small_s, large_s in pairs)
+        + ", ".join(f"({small_s:.3f}, {large_s:.3f})" for small_s, large_s in timed)
     )
     return ratio

@@ -496,6 +496,27 @@ class TestWorkerLifecycle:
         assert counters["reused_worker_requests"] >= 3
         assert counters["workers_spawned"] == 2 + len(retired)
 
+    def test_a_repeated_read_is_marked_and_counted(self):
+        params = {"workload": "mix", "seed": 0, "scale": 0.5}
+        daemon = Daemon()
+        try:
+            client = daemon.client()
+            # Cold (computes), warm (loads the artifact), then the
+            # reply the warm worker kept.
+            texts = [
+                client.request("stats", params, deadline=300).result["text"]
+                for _ in range(3)
+            ]
+            counters = client.status()["counters"]
+            events = daemon.events()
+        finally:
+            daemon.close()
+        assert texts[0] == texts[1] == texts[2]
+        memo = [e["memo"] for e in events if e["event"] == "reply" and e["op"] == "stats"]
+        assert memo == [False, False, True]
+        assert counters["memo_replies"] == 1
+        assert counters["reused_worker_requests"] == 1
+
     def test_parent_sigkill_leaves_no_worker(self):
         import signal
 

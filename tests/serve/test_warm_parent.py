@@ -9,7 +9,9 @@ a worker while it stays.  A fresh worker must import no ``repro``
 module and hash no source revision, so a lazy import that the warm
 list misses fails here.  A reused worker's second memory-backend read
 of a key must load no artifact from disk, and what an idle worker
-holds must stay within the resident bound.
+holds must stay within the resident bound.  Counting the one-shot
+fill, a third read of a request is the worker's kept reply: no runner
+runs for it.
 """
 
 import json
@@ -34,6 +36,17 @@ from repro.serve import pool
 
 real_execute = ops.execute
 real_load = cache.load_artifact
+ran = []
+
+
+def counted(runner):
+    def run(params):
+        ran.append(runner)
+        return runner(params)
+    return run
+
+
+ops._RUNNERS = {name: counted(runner) for name, runner in ops._RUNNERS.items()}
 
 
 def probe(op, params):
@@ -41,6 +54,11 @@ def probe(op, params):
         [list(key), sorted(pipeline._artifacts)]
         for key, pipeline in common._CACHE.items()
     ]
+    replies = [
+        [list(key), sorted(pipeline._replies)]
+        for key, pipeline in common._CACHE.items()
+    ]
+    runs = len(ran)
     modules, memo, loads = set(sys.modules), set(cache._revision_memo), []
 
     def load(*args):
@@ -55,6 +73,8 @@ def probe(op, params):
     result["hashed"] = len(set(cache._revision_memo) - memo)
     result["loaded"] = loads
     result["held"] = held
+    result["replies"] = replies
+    result["ran"] = len(ran) - runs
     return result
 
 
@@ -74,10 +94,13 @@ for op, params in cases:
     entry = {
         "op": op, "params": params, "served": worker.served,
         "stays": outcome.stays, "resident": list(outcome.resident),
+        "memo": outcome.memo,
     }
     entry.update(
         (name, outcome.result[name])
-        for name in ("text", "imported", "hashed", "loaded", "held")
+        for name in (
+            "text", "imported", "hashed", "loaded", "held", "replies", "ran",
+        )
     )
     report.append(entry)
     if not outcome.stays:
@@ -118,6 +141,8 @@ def probe(tmp_path_factory):
     bound = [("stats", key) for key in BOUND_KEYS]
     fill = cases + bound
     runs = [case for case in cases for _ in range(2)] + bound + bound[-1:]
+    # The evicted key again, then a live race on a key that is resident.
+    runs += [bound[0], cases[7]]
     env = {
         **os.environ,
         "PYTHONPATH": _SRC,
@@ -129,7 +154,8 @@ def probe(tmp_path_factory):
     ).stdout
     result = json.loads(out)
     result["pairs"] = list(zip(result["report"][0:20:2], result["report"][1:20:2]))
-    result["bound"] = result["report"][20:]
+    result["bound"] = result["report"][20:26]
+    result["after_bound"] = result["report"][26:]
     return result
 
 
@@ -141,13 +167,17 @@ def test_a_warm_worker_hashes_no_source_revision(probe):
     assert {r["op"]: r["hashed"] for r in probe["report"] if r["hashed"]} == {}
 
 
-def test_resident_artifacts_spare_every_memory_backend_load(probe):
-    memory_pipeline_ops = [
+def _memory_pipeline_pairs(probe):
+    return [
         (first, second) for first, second in probe["pairs"]
         if first["op"] != "health"
         and first["params"].get("backend", "memory") == "memory"
         and first["params"]["workload"] == "mix"
     ]
+
+
+def test_resident_artifacts_spare_every_memory_backend_load(probe):
+    memory_pipeline_ops = _memory_pipeline_pairs(probe)
     assert len(memory_pipeline_ops) == 6
     # The second read of each key ran on the same, reused worker...
     assert all(
@@ -195,3 +225,61 @@ def test_an_idle_worker_stays_within_the_resident_bound(probe):
     assert ["racer", 0, 0.1] not in [list(key) for key in held]
     assert set(map(tuple, held.values())) == {("db-stats",)}
     assert last["loaded"] == []
+
+
+def test_a_third_read_is_the_kept_reply(probe):
+    pairs = _memory_pipeline_pairs(probe)
+    assert len(pairs) == 6
+    for first, second in pairs:
+        # The worker's first read renders; the next one runs no runner.
+        assert (first["ran"], first["memo"]) == (1, False), first["op"]
+        assert (second["ran"], second["memo"]) == (0, True), second["op"]
+        assert second["text"] == first["text"]
+
+
+def test_a_kept_reply_answers_only_its_own_params(probe):
+    (at_09, _), (at_08, again) = [
+        pair for pair in _memory_pipeline_pairs(probe) if pair[0]["op"] == "derive"
+    ]
+    assert at_08["params"]["threshold"] == 0.8
+    # The worker kept derive's reply at 0.9 when the 0.8 request came...
+    kept = {tuple(key): ops for key, ops in at_08["replies"]}
+    assert "derive" in kept[("mix", 0, 0.5)]
+    # ...and rendered the 0.8 text, which it then kept in its place.
+    assert (at_08["ran"], at_08["memo"]) == (1, False)
+    assert "(t_ac=0.8)" in at_08["text"].splitlines()[0]
+    assert at_08["text"] != at_09["text"]
+    assert again["memo"] and again["text"] == at_08["text"]
+
+
+def test_an_evicted_key_loses_its_kept_reply(probe):
+    first, last = probe["bound"][0], probe["bound"][-1]
+    assert (last["ran"], last["memo"]) == (0, True)  # still resident
+    evicted = probe["after_bound"][0]
+    assert evicted["params"] == first["params"] == BOUND_KEYS[0]
+    assert ["racer", 0, 0.1] not in [key for key, _ in evicted["replies"]]
+    assert (evicted["ran"], evicted["memo"]) == (1, False)
+    assert evicted["loaded"] == ["db-stats"]
+    assert evicted["text"] == first["text"]
+
+
+def test_health_sqlite_and_live_races_are_never_kept(probe):
+    never = [
+        entry for pair in probe["pairs"] for entry in pair
+        if entry["op"] == "health"
+        or entry["params"].get("backend") == "sqlite"
+        or entry["params"].get("workload") == "racer"
+    ]
+    live = probe["after_bound"][1]
+    never.append(live)
+    assert len(never) == 9
+    for entry in never:
+        assert (entry["ran"], entry["memo"], entry["stays"]) == (1, False, False)
+    # The first sqlite check ran on a worker that kept the memory one.
+    sqlite = next(e for e in never if e["params"].get("backend") == "sqlite")
+    assert sqlite["served"] > 1
+    kept = {tuple(key): ops for key, ops in sqlite["replies"]}
+    assert "check" in kept[("mix", 0, 0.5)]
+    # The live race ran on a worker that kept a reply for its key.
+    kept = {tuple(key): ops for key, ops in live["replies"]}
+    assert live["op"] == "races" and kept[("racer", 0, 0.5)] == ["stats"]
